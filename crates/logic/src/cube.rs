@@ -87,21 +87,6 @@ impl Cube {
         self.care & other.care == self.care && other.value & self.care == self.value
     }
 
-    /// Attempts the Quine–McCluskey merge: two cubes binding the same
-    /// variables and differing in exactly one polarity combine into one cube
-    /// with that variable dropped.
-    pub fn merge(&self, other: &Cube) -> Option<Cube> {
-        if self.care != other.care {
-            return None;
-        }
-        let diff = self.value ^ other.value;
-        if diff.count_ones() == 1 {
-            Some(Cube::new(self.care & !diff, self.value & !diff))
-        } else {
-            None
-        }
-    }
-
     /// Converts to a [`Bexpr`] product term.
     pub fn to_expr(&self) -> Bexpr {
         let mut lits = Vec::new();
@@ -302,24 +287,6 @@ mod tests {
             assert!(u.contains(r));
         }
         assert_eq!(u.literal_count(), 0);
-    }
-
-    #[test]
-    fn merge_drops_single_differing_variable() {
-        // a*b + a*/b -> a
-        let ab = Cube::new(0b11, 0b11);
-        let anb = Cube::new(0b11, 0b01);
-        let merged = ab.merge(&anb).unwrap();
-        assert_eq!(merged, Cube::new(0b01, 0b01));
-    }
-
-    #[test]
-    fn merge_rejects_two_bit_difference_and_care_mismatch() {
-        let ab = Cube::new(0b11, 0b11);
-        let nanb = Cube::new(0b11, 0b00);
-        assert!(ab.merge(&nanb).is_none());
-        let a = Cube::new(0b01, 0b01);
-        assert!(ab.merge(&a).is_none());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::cube::{Cover, Cube};
 use crate::table::TruthTable;
 use crate::vars::VarTable;
-use std::collections::HashSet;
 
 /// Above this many `(primes × minterms)` pairs the exact cover search
 /// switches to the greedy heuristic. Paper-scale gates stay far below.
@@ -17,9 +16,15 @@ const EXACT_COVER_LIMIT: usize = 200_000;
 
 /// Computes all prime implicants of the function given by `table`.
 ///
-/// Runs the classic Quine–McCluskey column-merging procedure on the
-/// function's minterms. The result is returned in deterministic sorted
-/// order.
+/// Runs the Quine–McCluskey column-merging procedure on the function's
+/// minterms. Each level is the sorted list of all implicants with the
+/// same number of free variables; a cube's merge partners are found by
+/// binary search (same `care`, one 0 bit of `value` set to 1), so a level
+/// of `N` cubes over `n` variables costs `O(N·n·log N)` rather than the
+/// `O(N²)` of comparing every pair. A merged cube is emitted only from the
+/// pair whose freed variable is above every variable it has already
+/// freed, so each implicant of the next level is built exactly once. The
+/// result is returned in deterministic sorted order.
 ///
 /// # Example
 ///
@@ -36,29 +41,39 @@ const EXACT_COVER_LIMIT: usize = 200_000;
 /// ```
 pub fn prime_implicants(table: &TruthTable) -> Vec<Cube> {
     let nvars = table.nvars();
-    let mut current: HashSet<Cube> = table.ones_iter().map(|r| Cube::minterm(r, nvars)).collect();
+    let full = Cube::minterm(0, nvars).care();
+    // `ones_iter` ascends, so the minterms are already sorted and unique.
+    let mut level: Vec<Cube> = table.ones_iter().map(|r| Cube::minterm(r, nvars)).collect();
     let mut primes: Vec<Cube> = Vec::new();
 
-    while !current.is_empty() {
-        // dynlint: allow(no-unordered-iteration) -- order-invariant: every pair is merged regardless of visit order, and `primes` is sorted + deduped before return
-        let cubes: Vec<Cube> = current.iter().copied().collect();
-        let mut merged_flags = vec![false; cubes.len()];
-        let mut next: HashSet<Cube> = HashSet::new();
-        for i in 0..cubes.len() {
-            for j in (i + 1)..cubes.len() {
-                if let Some(m) = cubes[i].merge(&cubes[j]) {
-                    merged_flags[i] = true;
-                    merged_flags[j] = true;
-                    next.insert(m);
+    while !level.is_empty() {
+        let mut merged = vec![false; level.len()];
+        let mut next: Vec<Cube> = Vec::new();
+        for (i, cube) in level.iter().enumerate() {
+            let freed = full & !cube.care();
+            let mut zeros = cube.care() & !cube.value();
+            while zeros != 0 {
+                let bit = zeros & zeros.wrapping_neg();
+                zeros &= zeros - 1;
+                let partner = Cube::new(cube.care(), cube.value() | bit);
+                if let Ok(j) = level.binary_search(&partner) {
+                    merged[i] = true;
+                    merged[j] = true;
+                    if freed < bit {
+                        next.push(Cube::new(cube.care() & !bit, cube.value()));
+                    }
                 }
             }
         }
-        for (i, c) in cubes.iter().enumerate() {
-            if !merged_flags[i] {
-                primes.push(*c);
-            }
-        }
-        current = next;
+        primes.extend(
+            level
+                .iter()
+                .zip(&merged)
+                .filter(|(_, &m)| !m)
+                .map(|(c, _)| *c),
+        );
+        next.sort_unstable();
+        level = next;
     }
     primes.sort();
     primes.dedup();
@@ -114,10 +129,9 @@ pub fn min_dnf(table: &TruthTable) -> Cover {
     // Essential primes: sole coverers of some minterm.
     let mut chosen: Vec<usize> = Vec::new();
     let mut covered = vec![false; minterms.len()];
-    for (mi, cs) in cover_sets.iter().enumerate() {
+    for cs in &cover_sets {
         if cs.len() == 1 && !chosen.contains(&cs[0]) {
             chosen.push(cs[0]);
-            let _ = mi;
         }
     }
     for &pi in &chosen {
@@ -244,26 +258,35 @@ fn exact_cover(
 /// Greedy cover: repeatedly pick the prime covering the most uncovered
 /// minterms (ties: fewest literals).
 fn greedy_cover(primes: &[Cube], minterms: &[u64], remaining: &[usize]) -> Vec<usize> {
-    let mut uncovered: HashSet<usize> = remaining.iter().copied().collect();
+    let mut uncovered = vec![false; minterms.len()];
+    for &mi in remaining {
+        uncovered[mi] = true;
+    }
+    let gain = |uncovered: &[bool], pi: usize| {
+        remaining
+            .iter()
+            .filter(|&&mi| uncovered[mi] && primes[pi].contains(minterms[mi]))
+            .count()
+    };
+    let mut left = remaining.len();
     let mut picked = Vec::new();
-    while !uncovered.is_empty() {
+    while left > 0 {
         let best = (0..primes.len())
             .max_by_key(|&pi| {
-                // dynlint: allow(no-unordered-iteration) -- order-invariant: `.count()` of a membership filter is the same for any visit order
-                let gain = uncovered
-                    .iter()
-                    .filter(|&&mi| primes[pi].contains(minterms[mi]))
-                    .count();
-                (gain, std::cmp::Reverse(primes[pi].literal_count()))
+                (
+                    gain(&uncovered, pi),
+                    std::cmp::Reverse(primes[pi].literal_count()),
+                )
             })
             .expect("primes nonempty");
-        // dynlint: allow(no-unordered-iteration) -- order-invariant: `.count()` of a membership filter is the same for any visit order
-        let gain = uncovered
-            .iter()
-            .filter(|&&mi| primes[best].contains(minterms[mi]))
-            .count();
-        assert!(gain > 0, "prime cover must make progress");
-        uncovered.retain(|&mi| !primes[best].contains(minterms[mi]));
+        let best_gain = gain(&uncovered, best);
+        assert!(best_gain > 0, "prime cover must make progress");
+        for &mi in remaining {
+            if primes[best].contains(minterms[mi]) {
+                uncovered[mi] = false;
+            }
+        }
+        left -= best_gain;
         picked.push(best);
     }
     picked

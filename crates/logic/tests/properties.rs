@@ -158,25 +158,74 @@ proptest! {
         }
     }
 
-    /// Cube merge soundness: the merged cube covers exactly the union.
-    #[test]
-    fn cube_merge_soundness(care in 0u64..64, val in 0u64..64, flip in 0u32..6) {
-        let care = care | (1 << flip);
-        let a = Cube::new(care, val);
-        let b = Cube::new(care, val ^ (1 << flip));
-        if let Some(m) = a.merge(&b) {
-            for w in 0..64u64 {
-                prop_assert_eq!(m.contains(w), a.contains(w) || b.contains(w));
-            }
-        } else {
-            prop_assert!(false, "single-bit difference must merge");
-        }
-    }
-
     /// Substitution removes the variable from the support.
     #[test]
     fn substitute_removes_from_support(e in arb_sp_expr(5), var in 0u32..5, value: bool) {
         let sub = e.substitute(VarId(var), value);
         prop_assert!(!sub.support().contains(&VarId(var)));
+    }
+}
+
+/// Brute-force prime implicants: every one of the `3^n` cubes that
+/// implies the function and is covered by no other such cube.
+fn reference_primes(t: &TruthTable) -> Vec<Cube> {
+    let n = t.nvars();
+    let full = (1u64 << n) - 1;
+    let mut implicants = Vec::new();
+    for care in 0..=full {
+        // Every value mask within `care`, by the subset-walk trick.
+        let mut value = care;
+        loop {
+            let cube = Cube::new(care, value);
+            if (0..t.len()).all(|r| !cube.contains(r) || t.get(r)) {
+                implicants.push(cube);
+            }
+            if value == 0 {
+                break;
+            }
+            value = (value - 1) & care;
+        }
+    }
+    let mut primes: Vec<Cube> = implicants
+        .iter()
+        .filter(|c| !implicants.iter().any(|d| d != *c && d.covers(c)))
+        .copied()
+        .collect();
+    primes.sort();
+    primes
+}
+
+/// `prime_implicants` equals the brute-force reference on seeded random
+/// tables of every width 1..=7 and densities from sparse to dense, plus
+/// the constant functions.
+#[test]
+fn prime_implicants_match_brute_force() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for n in 1..=7 {
+        let mut tables = vec![TruthTable::zeros(n), TruthTable::ones(n)];
+        for ones_per_8 in [2u64, 4, 6, 7] {
+            for _ in 0..8 {
+                let mut t = TruthTable::zeros(n);
+                for r in 0..t.len() {
+                    t.set(r, next() % 8 < ones_per_8);
+                }
+                tables.push(t);
+            }
+        }
+        for t in &tables {
+            assert_eq!(
+                prime_implicants(t),
+                reference_primes(t),
+                "n={n} table={t:?}"
+            );
+        }
     }
 }

@@ -98,6 +98,7 @@ impl Json {
     /// Returns the byte position and a message for malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -129,6 +130,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -315,16 +317,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next delimiter in one go. The
+                    // input is a &str and both delimiters are ASCII, so the
+                    // run's ends are char boundaries.
+                    let start = self.pos;
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |len| start + len);
+                    let run = self
+                        .text
+                        .get(start..end)
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -333,17 +339,26 @@ impl Parser<'_> {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Start of the pending run of characters that need no escape.
+    let mut run = 0;
+    for (i, ch) in s.char_indices() {
+        let escape = match ch {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(e) => f.write_str(e)?,
+            None => write!(f, "\\u{:04x}", ch as u32)?,
         }
+        run = i + ch.len_utf8();
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
