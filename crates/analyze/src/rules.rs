@@ -26,7 +26,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "no-wallclock-in-kernels",
     "no-ambient-rng",
     "no-panic-in-durable-paths",
-    "snapshot-complete",
     "ordered-float-fold",
     "env-through-contract",
     "invalid-pragma",
@@ -88,7 +87,6 @@ pub fn check_file(path: &str, source: &str, manifest: &Manifest) -> FileResult {
         rule_wallclock(&mut ctx, &lexed);
         rule_ambient_rng(&mut ctx, &lexed);
         rule_panic_in_durable(&mut ctx, &lexed);
-        rule_snapshot_complete(&mut ctx);
         rule_ordered_float_fold(&mut ctx, &lexed);
         rule_env_through_contract(&mut ctx, &lexed);
     }
@@ -492,34 +490,6 @@ fn rule_panic_in_durable(ctx: &mut Ctx, lexed: &Lexed) {
     }
 }
 
-fn rule_snapshot_complete(ctx: &mut Ctx) {
-    let impls = ctx.scanned.impls.clone();
-    for imp in &impls {
-        if imp.trait_name != "JobKernel" {
-            continue;
-        }
-        let mut missing = Vec::new();
-        for required in ["snapshot", "restore"] {
-            if !imp.fns.iter().any(|f| f == required) {
-                missing.push(required);
-            }
-        }
-        if !missing.is_empty() {
-            ctx.report(
-                imp.line,
-                "snapshot-complete",
-                format!(
-                    "`impl JobKernel for {}` must define both `snapshot` and `restore` \
-                     (missing: {}); the trait defaults silently discard whole-job progress \
-                     on crash-recovery",
-                    imp.type_name,
-                    missing.join(", ")
-                ),
-            );
-        }
-    }
-}
-
 /// Idents known to hold f64 values or f64 collections, by declaration
 /// pattern, with for-pattern propagation (`for (t, p) in totals.…` makes
 /// `t` and `p` f64 when `totals` is).
@@ -782,14 +752,6 @@ mod tests {
     fn pragma_with_unknown_rule_is_violation() {
         let src = "fn f() {} // dynlint: allow(no-such-rule) -- whatever";
         assert!(rules_hit("infra", src).contains(&"invalid-pragma".to_owned()));
-    }
-
-    #[test]
-    fn snapshot_complete() {
-        let bad = "impl JobKernel for MyJob { fn kind(&self) -> &str { \"x\" } }";
-        let good = "impl JobKernel for MyJob { fn kind(&self) -> &str { \"x\" } fn snapshot(&self) -> Json { Json::Null } fn restore(&mut self, s: &Json) -> bool { s.is_null() } }";
-        assert!(rules_hit("infra", bad).contains(&"snapshot-complete".to_owned()));
-        assert!(rules_hit("infra", good).is_empty());
     }
 
     #[test]

@@ -1,22 +1,8 @@
 //! A lightweight item scanner on top of the token stream: finds
-//! `impl Trait for Type { … }` blocks (with the functions they define),
-//! and `#[cfg(test)] mod … { … }` line ranges so zone rules can treat
+//! `#[cfg(test)] mod … { … }` line ranges so zone rules can treat
 //! in-file test modules as test code.
 
-use crate::lexer::{Lexed, Token, TokenKind};
-
-/// One `impl Trait for Type` block.
-#[derive(Debug, Clone)]
-pub struct ImplBlock {
-    /// The trait being implemented (last path segment).
-    pub trait_name: String,
-    /// The implementing type (last path segment before generics).
-    pub type_name: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// Names of `fn` items defined directly in the block body.
-    pub fns: Vec<String>,
-}
+use crate::lexer::{Lexed, Token};
 
 /// Inclusive 1-based line range.
 #[derive(Debug, Clone, Copy)]
@@ -34,8 +20,6 @@ impl LineRange {
 /// Scan results for one file.
 #[derive(Debug, Default)]
 pub struct Scanned {
-    /// All trait impl blocks (`impl Trait for Type`).
-    pub impls: Vec<ImplBlock>,
     /// Line ranges covered by `#[cfg(test)] mod … { … }`.
     pub test_ranges: Vec<LineRange>,
 }
@@ -47,19 +31,12 @@ impl Scanned {
     }
 }
 
-/// Scans the token stream for impl blocks and cfg(test) modules.
+/// Scans the token stream for cfg(test) modules.
 pub fn scan(lexed: &Lexed) -> Scanned {
     let toks = &lexed.tokens;
     let mut out = Scanned::default();
     let mut i = 0usize;
     while i < toks.len() {
-        if toks[i].is_ident("impl") && is_item_position(toks, i) {
-            if let Some((block, next)) = parse_impl(toks, i) {
-                out.impls.push(block);
-                i = next;
-                continue;
-            }
-        }
         if is_cfg_test_attr(toks, i) {
             if let Some((range, next)) = parse_cfg_test_mod(toks, i) {
                 out.test_ranges.push(range);
@@ -70,111 +47,6 @@ pub fn scan(lexed: &Lexed) -> Scanned {
         i += 1;
     }
     out
-}
-
-/// `impl` in item position, as opposed to `impl Trait` in type position
-/// (`fn f() -> impl Iterator`). In item position the previous token is
-/// nothing, a block close, a semicolon, or an attribute close.
-fn is_item_position(toks: &[Token], i: usize) -> bool {
-    matches!(
-        i.checked_sub(1).map(|p| &toks[p].kind),
-        None | Some(TokenKind::Punct('}' | ';' | ']'))
-    )
-}
-
-/// Parses `impl [<…>] Path [for Path] { body }` starting at the `impl`
-/// token. Returns the block (trait impls only) and the index after the
-/// closing brace; inherent impls are skipped but still consumed.
-fn parse_impl(toks: &[Token], start: usize) -> Option<(ImplBlock, usize)> {
-    let line = toks[start].line;
-    let mut i = start + 1;
-    i = skip_generics(toks, i);
-    let (first_path, after_first) = parse_path(toks, i)?;
-    i = after_first;
-    let (trait_name, type_name) = if toks.get(i).is_some_and(|t| t.is_ident("for")) {
-        let (ty, after_ty) = parse_path(toks, i + 1)?;
-        i = after_ty;
-        (Some(first_path), ty)
-    } else {
-        (None, first_path)
-    };
-    // Skip a where-clause: scan forward to the opening brace.
-    while i < toks.len() && !toks[i].is_punct('{') {
-        i += 1;
-    }
-    if i >= toks.len() {
-        return None;
-    }
-    // Walk the body at depth 1, collecting `fn name`.
-    let mut depth = 0usize;
-    let mut fns = Vec::new();
-    while i < toks.len() {
-        if toks[i].is_punct('{') {
-            depth += 1;
-        } else if toks[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                i += 1;
-                break;
-            }
-        } else if depth == 1 && toks[i].is_ident("fn") {
-            if let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) {
-                fns.push(name.to_owned());
-            }
-        }
-        i += 1;
-    }
-    // Inherent impls are consumed but not reported.
-    let trait_name = trait_name?;
-    Some((
-        ImplBlock {
-            trait_name,
-            type_name,
-            line,
-            fns,
-        },
-        i,
-    ))
-}
-
-/// Skips a balanced `<…>` generics list if one starts at `i`.
-fn skip_generics(toks: &[Token], mut i: usize) -> usize {
-    if !toks.get(i).is_some_and(|t| t.is_punct('<')) {
-        return i;
-    }
-    let mut depth = 0usize;
-    while i < toks.len() {
-        if toks[i].is_punct('<') {
-            depth += 1;
-        } else if toks[i].is_punct('>') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Parses a path like `a::b::Name<T, U>` starting at `i`; returns the
-/// last plain segment (generics stripped) and the index after the path.
-fn parse_path(toks: &[Token], mut i: usize) -> Option<(String, usize)> {
-    let mut last = None;
-    while let Some(seg) = toks.get(i).and_then(|t| t.ident()) {
-        last = Some(seg.to_owned());
-        i += 1;
-        i = skip_generics(toks, i);
-        if toks.get(i).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        {
-            i += 2;
-        } else {
-            break;
-        }
-    }
-    i = skip_generics(toks, i);
-    last.map(|l| (l, i))
 }
 
 /// Is `#[cfg(test)]` starting at token `i`?
@@ -254,41 +126,6 @@ fn parse_cfg_test_mod(toks: &[Token], start: usize) -> Option<(LineRange, usize)
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    #[test]
-    fn finds_trait_impls_and_fns() {
-        let src = "impl JobKernel for FsimJob {\n fn kind(&self) -> &str { \"f\" }\n fn snapshot(&self) -> Json { Json::Null }\n}";
-        let s = scan(&lex(src));
-        assert_eq!(s.impls.len(), 1);
-        assert_eq!(s.impls[0].trait_name, "JobKernel");
-        assert_eq!(s.impls[0].type_name, "FsimJob");
-        assert_eq!(s.impls[0].fns, ["kind", "snapshot"]);
-    }
-
-    #[test]
-    fn skips_inherent_impls_and_return_position() {
-        let src =
-            "impl FsimJob { fn new() {} }\nfn f() -> impl Iterator<Item = u8> { [1].into_iter() }";
-        let s = scan(&lex(src));
-        assert!(s.impls.is_empty());
-    }
-
-    #[test]
-    fn generic_impls() {
-        let src = "impl<T: Clone> Strategy for Vec<T> where T: Send { fn go(&self) {} }";
-        let s = scan(&lex(src));
-        assert_eq!(s.impls.len(), 1);
-        assert_eq!(s.impls[0].trait_name, "Strategy");
-        assert_eq!(s.impls[0].type_name, "Vec");
-        assert_eq!(s.impls[0].fns, ["go"]);
-    }
-
-    #[test]
-    fn nested_fns_not_collected() {
-        let src = "impl Runner for X { fn outer(&self) { fn inner() {} } }";
-        let s = scan(&lex(src));
-        assert_eq!(s.impls[0].fns, ["outer"]);
-    }
 
     #[test]
     fn cfg_test_ranges() {

@@ -78,20 +78,6 @@ fn panic_in_durable_fixtures() {
 }
 
 #[test]
-fn snapshot_complete_fixtures() {
-    let bad = include_str!("fixtures/snapshot_bad.rs");
-    let result = analyze_source("fixture.rs", bad, &zoned("infra"));
-    assert_eq!(result.violations.len(), 1, "{:#?}", result.violations);
-    assert_eq!(result.violations[0].rule, "snapshot-complete");
-    assert!(
-        result.violations[0].message.contains("missing: restore"),
-        "{}",
-        result.violations[0].message
-    );
-    assert_clean("infra", include_str!("fixtures/snapshot_ok.rs"));
-}
-
-#[test]
 fn ordered_float_fold_fixtures() {
     let bad = include_str!("fixtures/fold_bad.rs");
     let hits = rules_in("merge", bad);

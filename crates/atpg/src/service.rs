@@ -9,81 +9,70 @@
 
 use crate::podem::{generate_test_set_budgeted, AtpgCheckpoint, TestSetReport};
 use dynmos_netlist::Network;
-use dynmos_protest::budget::{RunBudget, RunStatus};
+use dynmos_protest::budget::RunBudget;
 use dynmos_protest::list::FaultEntry;
 use dynmos_protest::parallel::Parallelism;
 use dynmos_protest::service::jobs::param_u64;
-use dynmos_protest::service::{JobContext, JobEngine, JobKernel, Json};
+use dynmos_protest::service::{
+    Checkpointed, JobContext, JobEngine, JobKernel, Json, Leg, Resumable,
+};
 use std::sync::Arc;
 
 /// Default PODEM backtrack budget when the request omits
 /// `max_backtracks`.
 const DEFAULT_BACKTRACKS: u64 = 50;
 
-/// A supervised PODEM whole-list run.
-pub struct AtpgJob {
+/// A PODEM whole-list run as a [`Resumable`] kernel.
+pub struct Atpg {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
     max_backtracks: u64,
-    state: Option<AtpgCheckpoint>,
-    started: bool,
-    report: Option<TestSetReport>,
-    complete: bool,
 }
 
-impl AtpgJob {
-    /// Builds the job from a request (`max_backtracks`).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` keeps the factory signature
-    /// uniform.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+/// A supervised PODEM whole-list run.
+pub type AtpgJob = Checkpointed<Atpg>;
+
+impl Resumable for Atpg {
+    type Checkpoint = AtpgCheckpoint;
+    type Outcome = TestSetReport;
+    const TO_JSON: fn(&AtpgCheckpoint) -> Json = AtpgCheckpoint::to_json;
+    const FROM_JSON: fn(&Json) -> Result<AtpgCheckpoint, String> = AtpgCheckpoint::from_json;
+
+    /// Request: `max_backtracks`.
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
             max_backtracks: param_u64(ctx.params, "max_backtracks", DEFAULT_BACKTRACKS),
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            report: None,
-            complete: false,
         })
     }
-}
 
-impl JobKernel for AtpgJob {
-    fn kind(&self) -> &'static str {
-        "atpg"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let resume = match self.state.take() {
-            Some(cp) => Some(cp),
-            None if !self.started => {
-                self.started = true;
-                None
-            }
-            None => return RunStatus::Completed,
-        };
+    fn leg(
+        &self,
+        from: Option<AtpgCheckpoint>,
+        budget: &RunBudget,
+    ) -> Leg<AtpgCheckpoint, TestSetReport> {
         let run = generate_test_set_budgeted(
             &self.net,
             &self.faults,
             self.max_backtracks,
             self.parallelism,
             budget,
-            resume,
+            from,
         );
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.report = Some(run.report);
-        run.status
+        Leg {
+            status: run.status,
+            checkpoint: run.checkpoint,
+            outcome: run.report,
+            error: None,
+        }
     }
 
-    fn output(&self) -> Json {
+    fn output(&self, report: Option<&TestSetReport>, complete: bool) -> Json {
         let mut members = vec![("kind".into(), Json::str("atpg"))];
-        if let Some(r) = &self.report {
+        if let Some(r) = report {
             members.push((
                 "tests".into(),
                 Json::Arr(
@@ -109,32 +98,8 @@ impl JobKernel for AtpgJob {
                 Json::Arr(r.aborted.iter().map(|s| Json::str(s.clone())).collect()),
             ));
         }
-        members.push(("complete".into(), Json::Bool(self.complete)));
+        members.push(("complete".into(), Json::Bool(complete)));
         Json::Obj(members)
-    }
-
-    fn snapshot(&self) -> Json {
-        Json::Obj(vec![
-            ("started".into(), Json::Bool(self.started)),
-            (
-                "checkpoint".into(),
-                self.state
-                    .as_ref()
-                    .map_or(Json::Null, AtpgCheckpoint::to_json),
-            ),
-        ])
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        self.started = snapshot
-            .get("started")
-            .and_then(Json::as_bool)
-            .ok_or("atpg snapshot: bad or missing \"started\"")?;
-        self.state = match snapshot.get("checkpoint") {
-            None | Some(Json::Null) => None,
-            Some(cp) => Some(AtpgCheckpoint::from_json(cp)?),
-        };
-        Ok(())
     }
 }
 

@@ -239,7 +239,7 @@ impl<'n> ExactDetector<'n> {
     /// can degrade to Monte Carlo (see
     /// [`detection_probability_estimates`]). A deadline, cancellation
     /// flag, or pattern cap turns the enumeration into a chunked walk
-    /// checked every [`CHUNK_BLOCKS`] row blocks; block partials are
+    /// checked every `CHUNK_BLOCKS` row blocks; block partials are
     /// folded into the running totals in ascending block order, so a
     /// completed budgeted run is bit-identical to [`Self::probabilities`]
     /// at any thread count. Exact enumeration has no resumable

@@ -12,10 +12,10 @@
 //!
 //! The joint product is evaluated in **fixed-size blocks** folded in
 //! ascending order — the same partial-aggregation discipline the rest of
-//! [`crate::parallel`] uses — so [`test_length_par`] can shard the fault
-//! axis over worker threads (ISCAS-scale lists evaluate the product a
-//! hundred-plus times during the search) while staying bit-identical to
-//! the serial estimator at any thread count.
+//! [`crate::parallel`] uses — so [`test_length_budgeted`] can shard the
+//! fault axis over worker threads (ISCAS-scale lists evaluate the
+//! product a hundred-plus times during the search) while staying
+//! bit-identical to the serial estimator at any thread count.
 
 use crate::budget::{RunBudget, StopReason};
 use crate::parallel::{plan_shards, run_sharded, Parallelism, ShardPlan};
@@ -113,7 +113,7 @@ pub fn test_length_per_fault(p: f64, confidence: f64) -> u64 {
 /// assert!(n > 1500 && n < 2500);
 /// ```
 pub fn test_length(probs: &[f64], confidence: f64) -> u64 {
-    test_length_par(probs, confidence, Parallelism::default())
+    try_test_length(probs, confidence).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The joint detection confidence `Π_i (1 - (1-p_i)^N)` over one block of
@@ -125,42 +125,32 @@ fn block_confidence(probs: &[f64], n: u64) -> f64 {
         .product()
 }
 
-/// [`test_length`] with an explicit thread policy for the joint-product
-/// evaluations of the search. The fault axis (in [`PROB_BLOCK`] blocks)
-/// is the only axis here, so the planner shards it whenever the list can
-/// feed every worker a block; block products merge by an ascending-order
-/// fold, making the result bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics on the degenerate inputs [`try_test_length_par`] reports as
-/// errors.
-pub fn test_length_par(probs: &[f64], confidence: f64, parallelism: Parallelism) -> u64 {
-    try_test_length_par(probs, confidence, parallelism).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// [`test_length`] returning degenerate inputs as [`LengthError`]
 /// instead of panicking: NaN or out-of-range probabilities/confidence
 /// are reported, never propagated into pattern budgets.
 pub fn try_test_length(probs: &[f64], confidence: f64) -> Result<u64, LengthError> {
-    try_test_length_par(probs, confidence, Parallelism::default())
+    test_length_budgeted(
+        probs,
+        confidence,
+        Parallelism::default(),
+        &RunBudget::unlimited(),
+    )
 }
 
-/// [`test_length_par`] with errors instead of panics.
-pub fn try_test_length_par(
-    probs: &[f64],
-    confidence: f64,
-    parallelism: Parallelism,
-) -> Result<u64, LengthError> {
-    test_length_budgeted(probs, confidence, parallelism, &RunBudget::unlimited())
-}
-
-/// [`try_test_length_par`] under a [`RunBudget`]: the budget is checked
-/// between evaluations of the joint product (each evaluation scans the
-/// whole fault list), after at least one has run. The search keeps no
-/// checkpoint — an interrupted search returns
-/// [`LengthError::Interrupted`] and discards its bounds; a completed
-/// budgeted search equals the unbudgeted result bit-identically.
+/// [`try_test_length`] with an explicit thread policy and under a
+/// [`RunBudget`].
+///
+/// The fault axis (in `PROB_BLOCK`-sized blocks) is the only axis here,
+/// so the planner shards it whenever the list can feed every worker a
+/// block; block products merge by an ascending-order fold, making the
+/// result bit-identical at any thread count.
+///
+/// The budget is checked between evaluations of the joint product
+/// (each evaluation scans the whole fault list), after at least one
+/// has run. The search keeps no checkpoint — an interrupted search
+/// returns [`LengthError::Interrupted`] and discards its bounds; a
+/// completed budgeted search equals the unbudgeted result
+/// bit-identically.
 pub fn test_length_budgeted(
     probs: &[f64],
     confidence: f64,
@@ -334,10 +324,13 @@ mod tests {
         let probs: Vec<f64> = (0..40_000)
             .map(|i| 0.001 + 0.9 * ((i * 37 % 101) as f64 / 101.0))
             .collect();
-        let serial = test_length_par(&probs, 0.999, Parallelism::Serial);
+        let length = |parallelism| {
+            test_length_budgeted(&probs, 0.999, parallelism, &RunBudget::unlimited()).unwrap()
+        };
+        let serial = length(Parallelism::Serial);
         for threads in [2usize, 3, 4, 8] {
             assert_eq!(
-                test_length_par(&probs, 0.999, Parallelism::Fixed(threads)),
+                length(Parallelism::Fixed(threads)),
                 serial,
                 "threads={threads}"
             );

@@ -66,8 +66,8 @@ pub use env_contract::EnvError;
 pub use estimate::{exact_signal_probability, signal_probabilities};
 pub use fsim::{BudgetedFsim, FaultSimulator, FsimCheckpoint, FsimOutcome};
 pub use length::{
-    escape_probability, test_length, test_length_budgeted, test_length_par, test_length_per_fault,
-    try_test_length, try_test_length_par, LengthError,
+    escape_probability, test_length, test_length_budgeted, test_length_per_fault, try_test_length,
+    LengthError,
 };
 pub use list::{network_fault_list, stuck_fault_list, FaultEntry};
 pub use montecarlo::{
@@ -78,8 +78,7 @@ pub use montecarlo::{
 };
 pub use optimize::{
     optimize_input_probabilities, optimize_input_probabilities_budgeted,
-    optimize_input_probabilities_par, optimize_input_probabilities_with, OptimizeReport,
-    OptimizeRun,
+    optimize_input_probabilities_with, OptimizeReport, OptimizeRun,
 };
 pub use parallel::{
     plan_shards, run_sharded, shard_ranges, try_run_sharded, Parallelism, ShardError, ShardPlan,

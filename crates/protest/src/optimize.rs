@@ -96,29 +96,12 @@ pub fn optimize_input_probabilities(
     confidence: f64,
     max_sweeps: usize,
 ) -> OptimizeReport {
-    optimize_input_probabilities_par(net, faults, confidence, max_sweeps, Parallelism::default())
-}
-
-/// [`optimize_input_probabilities`] with an explicit thread policy for
-/// the objective's enumeration engine. The report is identical at any
-/// thread count. Networks whose row space exceeds the default
-/// exact-enumeration cap no longer panic: the objective degrades to
-/// Monte-Carlo detection estimation with a fixed seed (see
-/// [`optimize_input_probabilities_budgeted`], which also reports which
-/// method ran).
-pub fn optimize_input_probabilities_par(
-    net: &Network,
-    faults: &[FaultEntry],
-    confidence: f64,
-    max_sweeps: usize,
-    parallelism: Parallelism,
-) -> OptimizeReport {
     optimize_input_probabilities_budgeted(
         net,
         faults,
         confidence,
         max_sweeps,
-        parallelism,
+        Parallelism::default(),
         &RunBudget::unlimited(),
     )
     .report
@@ -147,8 +130,9 @@ pub struct OptimizeRun {
     pub methods: Vec<EstimateMethod>,
 }
 
-/// [`optimize_input_probabilities_par`] under a [`RunBudget`]. The
-/// budget is threaded into every objective evaluation (enumeration
+/// [`optimize_input_probabilities`] with an explicit thread policy (the
+/// report is identical at any thread count) and under a [`RunBudget`].
+/// The budget is threaded into every objective evaluation (enumeration
 /// chunks, symbolic passes, and test-length searches all check it); an
 /// interrupt ends the descent at the last fully evaluated candidate and
 /// returns the best-so-far report with [`RunStatus::Interrupted`].

@@ -158,7 +158,7 @@ impl Parallelism {
     /// # Panics
     ///
     /// Panics if `DYNMOS_THREADS` is set to a non-numeric value (see
-    /// [`parse_thread_override`]).
+    /// `parse_thread_override`).
     pub fn resolve(self) -> usize {
         match self {
             Parallelism::Serial => 1,

@@ -32,6 +32,18 @@ use std::time::{Duration, Instant};
 /// name, the optional per-job deadline, and the kernel itself.
 type BuiltJob = (String, Option<Duration>, Box<dyn JobKernel>);
 
+/// Reads an optional request field that must be a non-negative
+/// integer when present — a mistyped value is refused, never ignored.
+fn optional_u64(request: &Json, key: &str) -> Result<Option<u64>, String> {
+    request
+        .get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{key:?} must be a non-negative integer, got {v}"))
+        })
+        .transpose()
+}
+
 /// Exponential backoff with deterministic jitter: retry `k` sleeps
 /// `base·2^(k-1)` ms (capped at `cap_ms`), scaled by a jitter factor in
 /// `[0.5, 1.5)` drawn from a hash of `(seed, job, k)` — deterministic
@@ -459,6 +471,8 @@ impl JobEngine {
             None => NetlistFormat::Bench,
             Some(s) => NetlistFormat::parse(s)?,
         };
+        let timeout = optional_u64(request, "timeout_ms")?.map(Duration::from_millis);
+        let fault_limit = optional_u64(request, "fault_limit")?;
         let net = self
             .cache
             .get_or_compile(format, &source, self.config.fault_plan.as_deref())
@@ -467,7 +481,7 @@ impl JobEngine {
             NetlistFormat::Bench => stuck_fault_list(&net),
             NetlistFormat::Cell => network_fault_list(&net),
         };
-        if let Some(limit) = request.get("fault_limit").and_then(Json::as_u64) {
+        if let Some(limit) = fault_limit {
             faults.truncate(limit as usize);
         }
         let ctx = JobContext {
@@ -485,10 +499,6 @@ impl JobEngine {
             Some(Err(e)) => return Err(format!("bad {kind} request: {e}")),
             None => return Err(format!("unknown job kind {kind:?}")),
         };
-        let timeout = request
-            .get("timeout_ms")
-            .and_then(Json::as_u64)
-            .map(Duration::from_millis);
         Ok((kind, timeout, kernel))
     }
 

@@ -9,7 +9,9 @@
 //! kernel exactly at its previous checkpoint, which is what makes
 //! supervisor retries bit-identical to an uninterrupted run for the
 //! checkpointed kernels (fault simulation, both Monte Carlo
-//! estimators) and merely idempotent-restarted for the rest.
+//! estimators, and PODEM, all run through [`Checkpointed`]; the
+//! testability kernel commits per fault) and merely
+//! idempotent-restarted for the rest.
 
 use crate::budget::{RunBudget, RunStatus};
 use crate::detect::{detection_probability_estimates, DetectionEstimate, EstimateMethod};
@@ -52,11 +54,9 @@ pub struct JobContext<'a> {
 }
 
 /// One supervised job kernel: a budgeted PROTEST kernel plus enough
-/// state to resume across legs.
+/// state to resume across legs. Kernels whose state is a kernel
+/// checkpoint implement [`Resumable`] and run as [`Checkpointed`].
 pub trait JobKernel: Send {
-    /// The job-kind token (`"fsim"`, `"mc-detect"`, …).
-    fn kind(&self) -> &'static str;
-
     /// Advances the job under `budget`. Must commit state only on
     /// return, and must make forward progress on every call with a
     /// non-degenerate budget (the underlying kernels guarantee one
@@ -75,15 +75,12 @@ pub trait JobKernel: Send {
 
     /// The kernel's serializable resume state — everything committed at
     /// the last returned leg, as JSON the write-ahead journal can
-    /// persist. The default (`Json::Null`) is correct for kernels with
-    /// no cross-leg state: restoring them restarts the (deterministic)
-    /// computation from scratch.
+    /// persist. A kernel with no cross-leg state returns `Json::Null`:
+    /// restoring it restarts the (deterministic) computation.
     ///
     /// Snapshots carry *resume* state only, never terminal output; a
     /// completed job is journaled via its terminal record instead.
-    fn snapshot(&self) -> Json {
-        Json::Null
-    }
+    fn snapshot(&self) -> Json;
 
     /// Restores a kernel freshly built from its original request to a
     /// prior [`JobKernel::snapshot`]. Resuming from the restored state
@@ -94,37 +91,144 @@ pub trait JobKernel: Send {
     ///
     /// Returns a message when the snapshot does not round-trip (wrong
     /// kind, mistyped fields) — the journal is then treated as corrupt.
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        match snapshot {
-            Json::Null => Ok(()),
-            other => Err(format!(
-                "{} kernel carries no resumable state, got snapshot {other}",
-                self.kind()
-            )),
-        }
+    fn restore(&mut self, snapshot: &Json) -> Result<(), String>;
+}
+
+/// What one [`Resumable::leg`] returns.
+pub struct Leg<C, R> {
+    /// Completed, or why the leg stopped.
+    pub status: RunStatus,
+    /// Where the next leg resumes; `Some` exactly when interrupted.
+    pub checkpoint: Option<C>,
+    /// The kernel's outcome so far (partial when interrupted).
+    pub outcome: R,
+    /// The worker failure behind a
+    /// [`StopReason::WorkerFailed`](crate::budget::StopReason::WorkerFailed)
+    /// stop, if any.
+    pub error: Option<String>,
+}
+
+/// A budgeted kernel that stops at chunk boundaries with a serializable
+/// checkpoint. [`Checkpointed`] turns it into a [`JobKernel`] and owns
+/// all progress bookkeeping; the kernel itself holds only its request.
+pub trait Resumable: Send + Sized {
+    /// The kernel's resume state between legs.
+    type Checkpoint: Clone + Send;
+    /// What a leg reports (partial when interrupted).
+    type Outcome: Send;
+
+    /// The checkpoint's exact JSON encoding.
+    const TO_JSON: fn(&Self::Checkpoint) -> Json;
+
+    /// Inverse of [`Resumable::TO_JSON`]; a malformed checkpoint is an
+    /// error message.
+    const FROM_JSON: fn(&Json) -> Result<Self::Checkpoint, String>;
+
+    /// Builds the kernel from a request.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for invalid request parameters.
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String>;
+
+    /// Runs one leg: the kernel's start function when `from` is `None`,
+    /// else its resume function on the checkpoint.
+    fn leg(
+        &self,
+        from: Option<Self::Checkpoint>,
+        budget: &RunBudget,
+    ) -> Leg<Self::Checkpoint, Self::Outcome>;
+
+    /// The job output for the last leg's outcome (`None` before any leg
+    /// returned).
+    fn output(&self, outcome: Option<&Self::Outcome>, complete: bool) -> Json;
+}
+
+/// Where a [`Checkpointed`] job stands between legs.
+enum Progress<C> {
+    /// No leg has returned yet.
+    Fresh,
+    /// Interrupted; the next leg resumes here.
+    At(C),
+    /// Completed.
+    Done,
+}
+
+/// The [`JobKernel`] for every [`Resumable`] kernel. Its snapshot is
+/// `{"started":bool,"checkpoint":object|null}`.
+pub struct Checkpointed<K: Resumable> {
+    kernel: K,
+    progress: Progress<K::Checkpoint>,
+    outcome: Option<K::Outcome>,
+    error: Option<String>,
+}
+
+impl<K: Resumable> Checkpointed<K> {
+    /// Builds the job from a request (see [`Resumable::from_request`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the kernel's message for invalid request parameters.
+    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+        Ok(Self {
+            kernel: K::from_request(ctx)?,
+            progress: Progress::Fresh,
+            outcome: None,
+            error: None,
+        })
     }
 }
 
-/// Shared shape of the checkpointed kernels' snapshots: the `started`
-/// flag plus an optional checkpoint object.
-fn snapshot_with_checkpoint(started: bool, checkpoint: Option<Json>) -> Json {
-    Json::Obj(vec![
-        ("started".into(), Json::Bool(started)),
-        ("checkpoint".into(), checkpoint.unwrap_or(Json::Null)),
-    ])
-}
+impl<K: Resumable> JobKernel for Checkpointed<K> {
+    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
+        // The checkpoint is cloned, not taken: a leg that dies leaves
+        // the job at its previous checkpoint.
+        let from = match &self.progress {
+            Progress::Fresh => None,
+            Progress::At(cp) => Some(cp.clone()),
+            // Completed earlier and re-run: re-report the same result.
+            Progress::Done => return RunStatus::Completed,
+        };
+        let leg = self.kernel.leg(from, budget);
+        self.progress = leg.checkpoint.map_or(Progress::Done, Progress::At);
+        self.outcome = Some(leg.outcome);
+        self.error = leg.error;
+        leg.status
+    }
 
-/// Reads back [`snapshot_with_checkpoint`]: `(started, checkpoint)`.
-fn parse_snapshot<'a>(kind: &str, snapshot: &'a Json) -> Result<(bool, Option<&'a Json>), String> {
-    let started = snapshot
-        .get("started")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{kind} snapshot: bad or missing \"started\""))?;
-    let checkpoint = match snapshot.get("checkpoint") {
-        None | Some(Json::Null) => None,
-        Some(cp) => Some(cp),
-    };
-    Ok((started, checkpoint))
+    fn output(&self) -> Json {
+        let complete = matches!(self.progress, Progress::Done);
+        self.kernel.output(self.outcome.as_ref(), complete)
+    }
+
+    fn last_error(&self) -> Option<String> {
+        self.error.clone()
+    }
+
+    fn snapshot(&self) -> Json {
+        let (started, checkpoint) = match &self.progress {
+            Progress::Fresh => (false, Json::Null),
+            Progress::At(cp) => (true, (K::TO_JSON)(cp)),
+            Progress::Done => (true, Json::Null),
+        };
+        Json::Obj(vec![
+            ("started".into(), Json::Bool(started)),
+            ("checkpoint".into(), checkpoint),
+        ])
+    }
+
+    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
+        let started = snapshot
+            .get("started")
+            .and_then(Json::as_bool)
+            .ok_or("snapshot: bad or missing \"started\"")?;
+        self.progress = match snapshot.get("checkpoint") {
+            Some(cp) if !matches!(cp, Json::Null) => Progress::At((K::FROM_JSON)(cp)?),
+            _ if started => Progress::Done,
+            _ => Progress::Fresh,
+        };
+        Ok(())
+    }
 }
 
 /// Reads an unsigned-integer parameter with a default.
@@ -167,44 +271,32 @@ pub fn param_probs(params: &Json, n: usize, default: f64) -> Result<Vec<f64>, St
     }
 }
 
-fn estimates_json(estimates: &[Estimate]) -> Json {
-    Json::Arr(
-        estimates
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("value".into(), Json::Num(e.value)),
-                    ("half_width".into(), Json::Num(e.half_width)),
-                    ("samples".into(), Json::num(e.samples)),
-                ])
-            })
-            .collect(),
-    )
+fn estimate_fields(e: &Estimate) -> [(String, Json); 3] {
+    [
+        ("value".into(), Json::Num(e.value)),
+        ("half_width".into(), Json::Num(e.half_width)),
+        ("samples".into(), Json::num(e.samples)),
+    ]
 }
 
-/// Weighted-random fault simulation ([`FaultSimulator`]) with a
-/// resumable [`FsimCheckpoint`] between legs.
-pub struct FsimJob {
+/// Weighted-random fault simulation ([`FaultSimulator`]).
+struct Fsim {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
     seed: u64,
     probs: Vec<f64>,
     max_patterns: u64,
-    state: Option<FsimCheckpoint>,
-    started: bool,
-    outcome: Option<FsimOutcome>,
-    complete: bool,
-    error: Option<String>,
 }
 
-impl FsimJob {
-    /// Builds the job from a request (`patterns`, `seed`, `probs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+impl Resumable for Fsim {
+    type Checkpoint = FsimCheckpoint;
+    type Outcome = FsimOutcome;
+    const TO_JSON: fn(&FsimCheckpoint) -> Json = FsimCheckpoint::to_json;
+    const FROM_JSON: fn(&Json) -> Result<FsimCheckpoint, String> = FsimCheckpoint::from_json;
+
+    /// Request: `patterns`, `seed`, `probs`.
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
@@ -213,44 +305,33 @@ impl FsimJob {
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            outcome: None,
-            complete: false,
-            error: None,
         })
     }
-}
 
-impl JobKernel for FsimJob {
-    fn kind(&self) -> &'static str {
-        "fsim"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
+    fn leg(
+        &self,
+        from: Option<FsimCheckpoint>,
+        budget: &RunBudget,
+    ) -> Leg<FsimCheckpoint, FsimOutcome> {
         // The source is rebuilt per leg: batch addressing in the
         // checkpoint is absolute, so only the stream (seed + weights)
         // matters, not a cursor surviving between legs.
         let mut src = PatternSource::new(self.seed, self.probs.clone());
         let sim = FaultSimulator::with_parallelism(&self.net, self.parallelism);
-        let run = match self.state.take() {
+        let run = match from {
             Some(cp) => sim.resume_random(&self.faults, &mut src, cp, budget),
-            None if !self.started => {
-                self.started = true;
-                sim.run_random_budgeted(&self.faults, &mut src, self.max_patterns, budget)
-            }
-            // Completed earlier and re-run: re-report the same result.
-            None => return RunStatus::Completed,
+            None => sim.run_random_budgeted(&self.faults, &mut src, self.max_patterns, budget),
         };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.outcome = Some(run.outcome);
-        run.status
+        Leg {
+            status: run.status,
+            checkpoint: run.checkpoint,
+            outcome: run.outcome,
+            error: run.worker_error.map(|e| e.to_string()),
+        }
     }
 
-    fn output(&self) -> Json {
-        let Some(out) = &self.outcome else {
+    fn output(&self, outcome: Option<&FsimOutcome>, complete: bool) -> Json {
+        let Some(out) = outcome else {
             return Json::Obj(vec![("kind".into(), Json::str("fsim"))]);
         };
         Json::Obj(vec![
@@ -266,52 +347,29 @@ impl JobKernel for FsimJob {
                         .collect(),
                 ),
             ),
-            ("complete".into(), Json::Bool(self.complete)),
+            ("complete".into(), Json::Bool(complete)),
         ])
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(
-            self.started,
-            self.state.as_ref().map(FsimCheckpoint::to_json),
-        )
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("fsim", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(FsimCheckpoint::from_json).transpose()?;
-        Ok(())
     }
 }
 
-/// Monte Carlo detection-probability estimation with a resumable
-/// [`McCheckpoint`].
-pub struct McDetectJob {
+/// Monte Carlo detection-probability estimation.
+struct McDetect {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
     seed: u64,
     probs: Vec<f64>,
     samples: u64,
-    state: Option<McCheckpoint>,
-    started: bool,
-    estimates: Vec<Estimate>,
-    complete: bool,
-    error: Option<String>,
 }
 
-impl McDetectJob {
-    /// Builds the job from a request (`samples`, `seed`, `probs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+impl Resumable for McDetect {
+    type Checkpoint = McCheckpoint;
+    type Outcome = Vec<Estimate>;
+    const TO_JSON: fn(&McCheckpoint) -> Json = McCheckpoint::to_json;
+    const FROM_JSON: fn(&Json) -> Result<McCheckpoint, String> = McCheckpoint::from_json;
+
+    /// Request: `samples`, `seed`, `probs`.
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
@@ -320,101 +378,74 @@ impl McDetectJob {
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            estimates: Vec::new(),
-            complete: false,
-            error: None,
         })
     }
-}
 
-impl JobKernel for McDetectJob {
-    fn kind(&self) -> &'static str {
-        "mc-detect"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let run = match self.state.take() {
-            Some(cp) => mc_detection_resume(
-                &self.net,
-                &self.faults,
-                &self.probs,
+    fn leg(
+        &self,
+        from: Option<McCheckpoint>,
+        budget: &RunBudget,
+    ) -> Leg<McCheckpoint, Vec<Estimate>> {
+        let (net, faults, probs) = (&self.net, &self.faults, &self.probs);
+        let run = match from {
+            Some(cp) => {
+                mc_detection_resume(net, faults, probs, self.seed, self.parallelism, budget, cp)
+            }
+            None => mc_detection_probabilities_budgeted(
+                net,
+                faults,
+                probs,
                 self.seed,
+                self.samples,
                 self.parallelism,
                 budget,
-                cp,
             ),
-            None if !self.started => {
-                self.started = true;
-                mc_detection_probabilities_budgeted(
-                    &self.net,
-                    &self.faults,
-                    &self.probs,
-                    self.seed,
-                    self.samples,
-                    self.parallelism,
-                    budget,
-                )
-            }
-            None => return RunStatus::Completed,
         };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.estimates = run.estimates;
-        run.status
+        Leg {
+            status: run.status,
+            checkpoint: run.checkpoint,
+            outcome: run.estimates,
+            error: run.worker_error.map(|e| e.to_string()),
+        }
     }
 
-    fn output(&self) -> Json {
+    fn output(&self, estimates: Option<&Vec<Estimate>>, complete: bool) -> Json {
+        let estimates = estimates.map_or(&[][..], Vec::as_slice);
         Json::Obj(vec![
             ("kind".into(), Json::str("mc-detect")),
-            ("estimates".into(), estimates_json(&self.estimates)),
-            ("complete".into(), Json::Bool(self.complete)),
+            (
+                "estimates".into(),
+                Json::Arr(
+                    estimates
+                        .iter()
+                        .map(|e| Json::Obj(estimate_fields(e).into()))
+                        .collect(),
+                ),
+            ),
+            ("complete".into(), Json::Bool(complete)),
         ])
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(self.started, self.state.as_ref().map(McCheckpoint::to_json))
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("mc-detect", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(McCheckpoint::from_json).transpose()?;
-        Ok(())
     }
 }
 
-/// Monte Carlo signal-probability estimation for one primary output,
-/// with a resumable [`McCheckpoint`].
-pub struct McSignalJob {
+/// Monte Carlo signal-probability estimation for one primary output.
+struct McSignal {
     net: Arc<Network>,
     parallelism: Parallelism,
     output_index: usize,
     seed: u64,
     probs: Vec<f64>,
     samples: u64,
-    state: Option<McCheckpoint>,
-    started: bool,
-    estimate: Option<Estimate>,
-    complete: bool,
-    error: Option<String>,
 }
 
-impl McSignalJob {
-    /// Builds the job from a request (`output` index, `samples`,
-    /// `seed`, `probs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs` or an out-of-range
-    /// `output`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+impl Resumable for McSignal {
+    type Checkpoint = McCheckpoint;
+    type Outcome = Estimate;
+    const TO_JSON: fn(&McCheckpoint) -> Json = McCheckpoint::to_json;
+    const FROM_JSON: fn(&Json) -> Result<McCheckpoint, String> = McCheckpoint::from_json;
+
+    /// Request: `output` index, `samples`, `seed`, `probs`; an
+    /// out-of-range `output` is an error.
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         let outputs = ctx.net.primary_outputs().len();
         let output_index = param_u64(ctx.params, "output", 0) as usize;
@@ -430,90 +461,52 @@ impl McSignalJob {
             output_index,
             net: ctx.net,
             parallelism: ctx.parallelism,
-            state: None,
-            started: false,
-            estimate: None,
-            complete: false,
-            error: None,
         })
     }
-}
 
-impl JobKernel for McSignalJob {
-    fn kind(&self) -> &'static str {
-        "mc-signal"
-    }
-
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        let target = self.net.primary_outputs()[self.output_index];
-        let run = match self.state.take() {
-            Some(cp) => mc_signal_resume(
-                &self.net,
+    fn leg(&self, from: Option<McCheckpoint>, budget: &RunBudget) -> Leg<McCheckpoint, Estimate> {
+        let (net, probs) = (&self.net, &self.probs);
+        let target = net.primary_outputs()[self.output_index];
+        let run = match from {
+            Some(cp) => {
+                mc_signal_resume(net, target, probs, self.seed, self.parallelism, budget, cp)
+            }
+            None => mc_signal_probability_budgeted(
+                net,
                 target,
-                &self.probs,
+                probs,
                 self.seed,
+                self.samples,
                 self.parallelism,
                 budget,
-                cp,
             ),
-            None if !self.started => {
-                self.started = true;
-                mc_signal_probability_budgeted(
-                    &self.net,
-                    target,
-                    &self.probs,
-                    self.seed,
-                    self.samples,
-                    self.parallelism,
-                    budget,
-                )
-            }
-            None => return RunStatus::Completed,
         };
-        self.error = run.worker_error.map(|e| e.to_string());
-        self.state = run.checkpoint;
-        self.complete = run.status.is_complete();
-        self.estimate = Some(run.estimate);
-        run.status
+        Leg {
+            status: run.status,
+            checkpoint: run.checkpoint,
+            outcome: run.estimate,
+            error: run.worker_error.map(|e| e.to_string()),
+        }
     }
 
-    fn output(&self) -> Json {
+    fn output(&self, estimate: Option<&Estimate>, complete: bool) -> Json {
         let mut members = vec![
             ("kind".into(), Json::str("mc-signal")),
             ("output".into(), Json::num(self.output_index as u64)),
         ];
-        if let Some(e) = &self.estimate {
-            members.push(("value".into(), Json::Num(e.value)));
-            members.push(("half_width".into(), Json::Num(e.half_width)));
-            members.push(("samples".into(), Json::num(e.samples)));
-        }
-        members.push(("complete".into(), Json::Bool(self.complete)));
+        members.extend(estimate.into_iter().flat_map(estimate_fields));
+        members.push(("complete".into(), Json::Bool(complete)));
         Json::Obj(members)
-    }
-
-    fn last_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-
-    fn snapshot(&self) -> Json {
-        snapshot_with_checkpoint(self.started, self.state.as_ref().map(McCheckpoint::to_json))
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        let (started, checkpoint) = parse_snapshot("mc-signal", snapshot)?;
-        self.started = started;
-        self.state = checkpoint.map(McCheckpoint::from_json).transpose()?;
-        Ok(())
     }
 }
 
 /// The exact-with-Monte-Carlo-degradation detection estimator
 /// ([`detection_probability_estimates`]). No checkpoint exists for this
 /// kernel, so an interrupted leg (or a process crash — its journal
-/// snapshot is the default `null`) restarts from scratch — completion
+/// snapshot is `null`) restarts from scratch — completion
 /// is still deterministic because the estimator is a pure function of
 /// `(net, faults, probs, seed)`.
-pub struct DetectEstimatesJob {
+struct DetectEstimatesJob {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
@@ -530,7 +523,7 @@ impl DetectEstimatesJob {
     /// # Errors
     ///
     /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
@@ -551,10 +544,6 @@ impl DetectEstimatesJob {
 }
 
 impl JobKernel for DetectEstimatesJob {
-    fn kind(&self) -> &'static str {
-        "detect"
-    }
-
     fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
         if self.result.is_some() {
             return RunStatus::Completed;
@@ -624,7 +613,7 @@ fn estimate_json(e: &DetectionEstimate) -> Json {
 /// at the phase boundary) then the joint-confidence length search
 /// (phase 2). Phase 1 has no checkpoint — an interrupted leg restarts
 /// it — but once cached it survives later leg deaths.
-pub struct TestLengthJob {
+struct TestLengthJob {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
@@ -642,7 +631,7 @@ impl TestLengthJob {
     /// # Errors
     ///
     /// Returns a message for invalid `probs`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
@@ -659,10 +648,6 @@ impl TestLengthJob {
 }
 
 impl JobKernel for TestLengthJob {
-    fn kind(&self) -> &'static str {
-        "length"
-    }
-
     fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
         if self.length.is_some() || self.failure.is_some() {
             return RunStatus::Completed;
@@ -760,11 +745,10 @@ impl JobKernel for TestLengthJob {
 
 /// Input-probability optimization ([`optimize_input_probabilities_budgeted`]).
 /// The optimizer keeps best-so-far state internally per call but has no
-/// cross-call checkpoint, so an interrupted leg (or a crash-recovered
-/// job — the journal snapshot is the default `null`) restarts the
-/// descent; the job reports the best report seen across legs'
-/// completions.
-pub struct OptimizeJob {
+/// cross-call checkpoint, so an interrupted leg restarts the descent;
+/// the snapshot keeps the last returned report, so a crash-recovered
+/// job does not forget a finished one.
+struct OptimizeJob {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
@@ -782,7 +766,7 @@ impl OptimizeJob {
     ///
     /// Currently infallible; the `Result` keeps the factory signature
     /// uniform.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
             confidence: param_f64(ctx.params, "confidence", DEFAULT_CONFIDENCE),
             max_sweeps: param_u64(ctx.params, "max_sweeps", 2) as usize,
@@ -797,10 +781,6 @@ impl OptimizeJob {
 }
 
 impl JobKernel for OptimizeJob {
-    fn kind(&self) -> &'static str {
-        "optimize"
-    }
-
     fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
         if self.complete {
             return RunStatus::Completed;
@@ -924,7 +904,7 @@ impl JobKernel for OptimizeJob {
 /// per-fault values are batch-independent — so a crash-recovered job
 /// resumes at the last journaled fault boundary and still completes
 /// bit-identical to an uninterrupted run.
-pub struct TestabilityJob {
+struct TestabilityJob {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
@@ -942,7 +922,7 @@ impl TestabilityJob {
     /// # Errors
     ///
     /// Returns a message for invalid `probs` or an unknown `mode`.
-    pub fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         let mut config =
             TestabilityConfig::from_env().with_seed(param_u64(ctx.params, "seed", DEFAULT_SEED));
@@ -971,10 +951,6 @@ impl TestabilityJob {
 }
 
 impl JobKernel for TestabilityJob {
-    fn kind(&self) -> &'static str {
-        "testability"
-    }
-
     fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
         if self.complete() {
             return RunStatus::Completed;
@@ -1092,9 +1068,9 @@ pub fn build_builtin(
         r.map(|k| Box::new(k) as Box<dyn JobKernel>)
     }
     Some(match kind {
-        "fsim" => boxed(FsimJob::from_request(ctx)),
-        "mc-detect" => boxed(McDetectJob::from_request(ctx)),
-        "mc-signal" => boxed(McSignalJob::from_request(ctx)),
+        "fsim" => boxed(Checkpointed::<Fsim>::from_request(ctx)),
+        "mc-detect" => boxed(Checkpointed::<McDetect>::from_request(ctx)),
+        "mc-signal" => boxed(Checkpointed::<McSignal>::from_request(ctx)),
         "detect" => boxed(DetectEstimatesJob::from_request(ctx)),
         "length" => boxed(TestLengthJob::from_request(ctx)),
         "optimize" => boxed(OptimizeJob::from_request(ctx)),

@@ -52,6 +52,6 @@ pub mod json;
 
 pub use cache::{network_fingerprint, CacheStats, NetlistFormat, NetworkCache};
 pub use engine::{BackoffPolicy, EngineConfig, Job, JobEngine, JobRecord, JobStatus, Rejection};
-pub use jobs::{build_builtin, JobContext, JobKernel};
+pub use jobs::{build_builtin, Checkpointed, JobContext, JobKernel, Leg, Resumable};
 pub use journal::{Journal, RecoveredJob, Recovery, JOURNAL_FILE};
 pub use json::{Json, JsonError};

@@ -472,3 +472,70 @@ fn backoff_is_clamped_to_the_deadline() {
         "backoff not clamped: slept {elapsed:?} against a 150ms deadline"
     );
 }
+
+/// A journal written by an earlier build still recovers: the fixture
+/// holds one mid-job leg record for each checkpointed kind (`fsim`,
+/// `mc-detect`, `mc-signal`, `atpg`, `testability`), captured from a
+/// `faultlib serve --leg-ms 0 --leg-patterns 256` session on a 5-input
+/// domino cell with its `done` records cut off. Resuming must finish
+/// with the `results` payload that session printed uninterrupted.
+#[test]
+fn journal_from_earlier_build_resumes_byte_identically() {
+    let dir = scratch("earlier-build");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(
+        dir.join(JOURNAL_FILE),
+        include_str!("fixtures/journal_mid_jobs.jsonl"),
+    )
+    .unwrap();
+    // The capture session's engine: every leg runs one chunk (or one
+    // target fault) under an already-expired slice, on two threads.
+    let mut engine = JobEngine::new(EngineConfig {
+        leg_ms: Some(0),
+        leg_patterns: Some(256),
+        ..test_config()
+    });
+    dynmos_atpg::register_atpg(&mut engine);
+    let summary = engine.attach_journal(&dir).unwrap();
+    assert_eq!(summary.get("resumed").and_then(Json::as_u64), Some(5));
+    let records = engine.drain();
+    assert!(records.iter().all(|r| r.status == JobStatus::Completed));
+    assert_eq!(
+        engine.results_json().to_string(),
+        include_str!("fixtures/journal_mid_jobs.results.json").trim_end()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A journaled checkpoint that parses but does not fit the job (a Monte
+/// Carlo hit vector for 1 fault on a 64-fault list) makes every resumed
+/// leg panic. The job must keep its checkpoint across those deaths and
+/// end `failed`, never report a `completed` record it did not compute.
+#[test]
+fn mismatched_checkpoint_fails_instead_of_completing() {
+    let mut request = fsim_request(0);
+    if let Json::Obj(members) = &mut request {
+        members.retain(|(k, _)| k != "kind" && k != "patterns");
+        members.push(("kind".into(), Json::str("mc-detect")));
+        members.push(("samples".into(), Json::num(4096u64)));
+    }
+    let journal = format!(
+        "{{\"t\":\"open\",\"gen\":1}}\n\
+         {{\"t\":\"admit\",\"id\":1,\"request\":{request}}}\n\
+         {{\"t\":\"leg\",\"id\":1,\"legs\":1,\"retries\":0,\"snapshot\":\
+         {{\"started\":true,\"checkpoint\":\
+         {{\"kind\":\"mc\",\"passes_done\":1,\"samples\":4096,\"hits\":[1]}}}}}}\n"
+    );
+    let dir = scratch("mismatched-checkpoint");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(JOURNAL_FILE), journal).unwrap();
+    let mut engine = JobEngine::new(test_config());
+    engine.attach_journal(&dir).unwrap();
+    let record = engine.run_next().expect("requeued job runs");
+    assert_eq!(record.status, JobStatus::Failed, "{}", record.to_json());
+    assert_eq!(
+        record.result.get("complete").and_then(Json::as_bool),
+        Some(false)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

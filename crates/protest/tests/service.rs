@@ -300,6 +300,31 @@ fn bad_requests_are_rejected_with_reasons() {
     submit_ok(&mut engine, &fsim_request(&bench, 16));
 }
 
+/// A present but mistyped `timeout_ms` or `fault_limit` is refused: it
+/// must not silently run the job with no deadline or the full fault
+/// list.
+#[test]
+fn mistyped_timeout_and_fault_limit_are_rejected() {
+    let mut engine = JobEngine::new(test_config());
+    let bench = Json::str(ripple_adder_bench_text(2));
+    for key in ["timeout_ms", "fault_limit"] {
+        for bad in [r#""500""#, "-1", "1.5", "null", "true", "[5]"] {
+            let request = format!(r#"{{"kind":"fsim","netlist":{bench},"{key}":{bad}}}"#);
+            let verdict = engine.submit_json(&Json::parse(&request).unwrap());
+            assert_eq!(
+                verdict.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{key}={bad} admitted: {verdict}"
+            );
+            let error = verdict.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains(key), "error {error:?} does not name {key}");
+        }
+        let good = format!(r#"{{"kind":"fsim","netlist":{bench},"{key}":5000}}"#);
+        submit_ok(&mut engine, &good);
+    }
+    assert_eq!(engine.pending(), 2, "only the well-typed requests queue");
+}
+
 /// Backoff delays are deterministic, exponential up to the cap, and
 /// jittered within [0.5, 1.5) of the nominal delay.
 #[test]
