@@ -17,7 +17,8 @@
 //!   results **bit-identical** to an uninterrupted serial run;
 //! - exact enumeration whose row space exceeds
 //!   [`RunBudget::effective_exact_rows`] refuses up front
-//!   ([`StopReason::RowCap`]) so callers can degrade to Monte Carlo
+//!   ([`StopReason::RowCap`]) so callers can degrade to the symbolic
+//!   tiers of [`crate::DetectionEngine`] (BDD, then cutting bounds)
 //!   instead of hanging.
 //!
 //! Kernels guarantee **forward progress**: at least one chunk of work

@@ -236,7 +236,7 @@ impl<'n> ExactDetector<'n> {
     /// [`Self::probabilities`] under a [`RunBudget`]. A row space
     /// larger than [`RunBudget::effective_exact_rows`] is refused up
     /// front with [`StopReason::RowCap`] — no work is done, so callers
-    /// can degrade to Monte Carlo (see
+    /// can degrade to the symbolic tiers (see
     /// [`detection_probability_estimates`]). A deadline, cancellation
     /// flag, or pattern cap turns the enumeration into a chunked walk
     /// checked every `CHUNK_BLOCKS` row blocks; block partials are
@@ -418,15 +418,16 @@ impl<'n> ExactDetector<'n> {
     }
 }
 
-/// Detection probabilities with graceful exact→Monte-Carlo
-/// degradation: the exact enumeration runs when the row space fits
-/// [`RunBudget::effective_exact_rows`]; otherwise the walk is refused
-/// up front and the Monte-Carlo estimator runs instead, with a sample
-/// budget tied to the refused enumeration size (the row cap clamped to
-/// `[2^12, 2^20]` samples). Each returned [`DetectionEstimate`] labels
-/// which path produced it, so callers can report standard errors for
-/// sampled values. A deadline/cancellation interrupt in either path
-/// surfaces as `Err(StopReason)`.
+/// Detection probabilities through the tiered testability engine
+/// ([`crate::DetectionEngine`]): exact enumeration runs when the row
+/// space fits [`RunBudget::effective_exact_rows`]; otherwise the walk is
+/// refused up front and the symbolic tiers run instead — the BDD tier,
+/// degrading per fault to certified cutting bounds (tightened by a
+/// short Monte Carlo run) when a fault's BDD overflows the node budget. Each returned [`DetectionEstimate`]
+/// labels which tier produced it, so callers can report standard errors
+/// for bounded values. The tier mode comes from `DYNMOS_TESTABILITY`
+/// (default `auto`). A deadline/cancellation interrupt surfaces as
+/// `Err(StopReason)`.
 ///
 /// # Panics
 ///

@@ -28,9 +28,9 @@
 //! **bit-identical to the serial run at any thread count** (see the
 //! determinism contract in [`crate::parallel`]).
 
-use crate::budget::{self, RunBudget, RunStatus, StopReason};
+use crate::budget::{self, RunBudget, RunStatus};
 use crate::list::FaultEntry;
-use crate::parallel::{plan_shards, try_run_sharded, Parallelism, ShardError, ShardPlan};
+use crate::parallel::{Parallelism, ShardError, StreamWalk, WalkEnd};
 use crate::random::PatternSource;
 use crate::service::json::Json;
 use dynmos_netlist::{Network, PackedEvaluator};
@@ -94,26 +94,16 @@ fn curve_from(detected_at: &[Option<u64>], patterns_applied: u64) -> Vec<(u64, u
     curve
 }
 
-/// Merges per-pattern-shard detection indices: a fault's first detection
-/// over the whole stream is the **minimum** of its first detections over
-/// any disjoint cover of the stream (absent in a range ⇒ `None` there).
-/// The merge is order-independent, so the result cannot depend on how
-/// the pattern axis was cut.
-fn merge_min_detection(
-    faults: usize,
-    spans: impl IntoIterator<Item = Vec<Option<u64>>>,
-) -> Vec<Option<u64>> {
-    let mut merged: Vec<Option<u64>> = vec![None; faults];
-    for span in spans {
-        debug_assert_eq!(span.len(), faults);
-        for (m, d) in merged.iter_mut().zip(span) {
-            *m = match (*m, d) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-    }
-    merged
+/// Merges a chunk's detection index into a fault's slot: a fault's
+/// first detection over the whole stream is the **minimum** of its first
+/// detections over any disjoint cover of the stream (absent in a range
+/// ⇒ `None` there). The merge is order-independent, so the result cannot
+/// depend on how the pattern axis was cut.
+fn merge_min_detection(merged: &mut Option<u64>, d: Option<u64>) {
+    *merged = match (*merged, d) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
 }
 
 /// Resumable state of an interrupted [`FaultSimulator::run_random`]:
@@ -162,7 +152,9 @@ impl FsimCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message for missing/mistyped fields or a wrong `kind`.
+    /// Returns a message for missing/mistyped fields, a wrong `kind`,
+    /// more batches than the pattern budget needs, or a detection index
+    /// of `0` or past the patterns simulated — states no run can reach.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         if v.get("kind").and_then(Json::as_str) != Some("fsim") {
             return Err("not an fsim checkpoint".into());
@@ -185,17 +177,37 @@ impl FsimCheckpoint {
                     .ok_or_else(|| format!("fsim checkpoint: bad detection index {other}")),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
+        let cp = Self {
             start: field("start")?,
             batches_done: field("batches_done")?,
             max_patterns: field("max_patterns")?,
             detected_at,
-        })
+        };
+        if cp.batches_done > cp.max_patterns.div_ceil(64) {
+            return Err(format!(
+                "fsim checkpoint: {} batches done exceed the {} needed for {} patterns",
+                cp.batches_done,
+                cp.max_patterns.div_ceil(64),
+                cp.max_patterns
+            ));
+        }
+        let patterns_done = cp.patterns_done();
+        if let Some(d) = cp
+            .detected_at
+            .iter()
+            .flatten()
+            .find(|&&d| d == 0 || d > patterns_done)
+        {
+            return Err(format!(
+                "fsim checkpoint: detection index {d} outside 1..={patterns_done}"
+            ));
+        }
+        Ok(cp)
     }
 
     /// Patterns fully simulated so far.
     pub fn patterns_done(&self) -> u64 {
-        (self.batches_done * 64).min(self.max_patterns)
+        self.batches_done.saturating_mul(64).min(self.max_patterns)
     }
 
     /// The original run's pattern budget.
@@ -223,8 +235,8 @@ pub struct BudgetedFsim {
     /// [`FaultSimulator::resume_random`].
     pub checkpoint: Option<FsimCheckpoint>,
     /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was **not**
+    /// [`RunStatus::Interrupted`]`(`[`crate::StopReason::WorkerFailed`]`)`:
+    /// the shard whose worker panicked twice. The failed chunk was **not**
     /// merged — outcome and checkpoint hold the state at the last
     /// completed chunk boundary, so resuming retries the failed chunk.
     pub worker_error: Option<ShardError>,
@@ -262,10 +274,10 @@ impl<'n> FaultSimulator<'n> {
     /// `max_patterns` even when it is not a multiple of 64.
     ///
     /// Work is sharded over worker threads along the axis
-    /// [`plan_shards`] picks: fault slices replaying the whole stream, or
-    /// — when the fault list cannot feed every worker — contiguous batch
-    /// ranges of the stream covering the whole list, merged by the
-    /// minimum detection index per fault. The result (and the source's
+    /// [`crate::parallel::plan_shards`] picks: fault slices replaying
+    /// the whole stream, or — when the fault list cannot feed every
+    /// worker — contiguous batch ranges of the stream covering the whole
+    /// list, merged by the minimum detection index per fault. The result (and the source's
     /// final cursor) is bit-identical at any thread count on either axis.
     ///
     /// When `DYNMOS_BUDGET_MS` is set, the run is executed as an
@@ -281,26 +293,24 @@ impl<'n> FaultSimulator<'n> {
         source: &mut PatternSource,
         max_patterns: u64,
     ) -> FsimOutcome {
-        // A worker that failed even its serial retry keeps the
-        // historical panicking contract on this entry point.
-        let check = |run: &BudgetedFsim| {
+        let ms = budget::env_budget_ms();
+        let leg = || {
+            ms.map_or_else(RunBudget::unlimited, |ms| {
+                RunBudget::deadline_in(Duration::from_millis(ms))
+            })
+        };
+        let mut run = self.run_random_budgeted(faults, source, max_patterns, &leg());
+        loop {
+            // A worker that failed even its serial retry keeps the
+            // historical panicking contract on this entry point.
             if let Some(e) = &run.worker_error {
                 panic!("{e}");
             }
-        };
-        if let Some(ms) = budget::env_budget_ms() {
-            let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-            let mut run = self.run_random_budgeted(faults, source, max_patterns, &leg());
-            check(&run);
-            while let Some(cp) = run.checkpoint.take() {
-                run = self.resume_random(faults, source, cp, &leg());
-                check(&run);
-            }
-            return run.outcome;
+            let Some(cp) = run.checkpoint.take() else {
+                return run.outcome;
+            };
+            run = self.resume_random(faults, source, cp, &leg());
         }
-        let run = self.run_random_budgeted(faults, source, max_patterns, &RunBudget::unlimited());
-        check(&run);
-        run.outcome
     }
 
     /// [`Self::run_random`] under a [`RunBudget`]: stops at the first
@@ -378,11 +388,10 @@ impl<'n> FaultSimulator<'n> {
         self.advance(faults, source, checkpoint, run_budget)
     }
 
-    /// The chunked walk both entry points share. Each chunk simulates
-    /// only the still-live faults over a fixed batch range and merges
-    /// by the usual order-independent rules, so chunk boundaries are
-    /// invisible to the final state; budget checks happen only between
-    /// chunks, after at least one has run.
+    /// The chunked walk both entry points share
+    /// ([`StreamWalk`]): each chunk simulates only the still-live faults
+    /// over a fixed batch range and merges by the minimum detection
+    /// index, so chunk boundaries are invisible to the final state.
     fn advance(
         &self,
         faults: &[FaultEntry],
@@ -392,113 +401,36 @@ impl<'n> FaultSimulator<'n> {
     ) -> BudgetedFsim {
         let FsimCheckpoint {
             start,
-            mut batches_done,
+            batches_done,
             max_patterns,
             mut detected_at,
         } = checkpoint;
         let total_batches = max_patterns.div_ceil(64);
-        let threads = self.parallelism.resolve();
-        // Unlimited budgets take the historical single-pass path: one
-        // chunk spanning the whole remaining stream.
-        let chunk = if run_budget.is_unlimited() {
-            total_batches.max(1)
-        } else {
-            CHUNK_BATCHES
-        };
-        let call_start = batches_done;
-        let cap_batches = run_budget.max_patterns.map(|p| p.div_ceil(64).max(1));
         let src: &PatternSource = source;
-        let mut stop: Option<StopReason> = None;
-        let mut worker_error: Option<ShardError> = None;
-        while batches_done < total_batches {
-            let live: Vec<usize> = detected_at
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| d.is_none().then_some(i))
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-            let mut span_end = (batches_done + chunk).min(total_batches);
-            if let Some(cap) = cap_batches {
-                span_end = span_end.min(call_start + cap);
-            }
-            let span = batches_done..span_end;
-            // A shard failing both its threaded attempt and serial
-            // retry stops the run *before* `batches_done` advances: the
-            // failed chunk's partial results are discarded whole, the
-            // checkpoint stays at the last merged boundary, and a
-            // resume (or supervisor retry) replays the failed chunk.
-            match plan_shards(live.len(), span.end - span.start, threads) {
-                ShardPlan::Faults(workers) => {
-                    match try_run_sharded(live.len(), workers, |range| {
-                        self.random_span(
-                            faults,
-                            &live[range],
-                            src,
-                            start,
-                            span.clone(),
-                            max_patterns,
-                        )
-                    }) {
-                        Ok(results) => {
-                            for (&fi, d) in live.iter().zip(results.into_iter().flatten()) {
-                                if d.is_some() {
-                                    detected_at[fi] = d;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            worker_error = Some(e);
-                            stop = Some(StopReason::WorkerFailed);
-                            break;
-                        }
-                    }
-                }
-                ShardPlan::Patterns(workers) => {
-                    match try_run_sharded((span.end - span.start) as usize, workers, |range| {
-                        self.random_span(
-                            faults,
-                            &live,
-                            src,
-                            start,
-                            span.start + range.start as u64..span.start + range.end as u64,
-                            max_patterns,
-                        )
-                    }) {
-                        Ok(spans) => {
-                            for (&fi, d) in live.iter().zip(merge_min_detection(live.len(), spans))
-                            {
-                                if d.is_some() {
-                                    detected_at[fi] = d;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            worker_error = Some(e);
-                            stop = Some(StopReason::WorkerFailed);
-                            break;
-                        }
-                    }
-                }
-            }
-            batches_done = span.end;
-            // Budget checks only between chunks, and only while work
-            // remains — a run that just finished is Completed even if
-            // the deadline passed during its last chunk.
-            let remains = batches_done < total_batches && detected_at.iter().any(Option::is_none);
-            if !remains {
-                break;
-            }
-            if cap_batches.is_some_and(|cap| batches_done - call_start >= cap) {
-                stop = Some(StopReason::PatternCap);
-                break;
-            }
-            if let Some(reason) = run_budget.stop_requested() {
-                stop = Some(reason);
-                break;
-            }
+        let WalkEnd {
+            done: batches_done,
+            stop,
+            error: worker_error,
+        } = StreamWalk {
+            done: batches_done,
+            total: total_batches,
+            chunk: CHUNK_BATCHES,
+            unit_patterns: 64,
+            threads: self.parallelism.resolve(),
+            budget: run_budget,
         }
+        .run(
+            &mut detected_at,
+            |detected_at| {
+                detected_at
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, d)| d.is_none().then_some(i))
+                    .collect()
+            },
+            |subset, span| self.random_span(faults, subset, src, start, span, max_patterns),
+            merge_min_detection,
+        );
         if let Some(reason) = stop {
             let patterns_applied = (batches_done * 64).min(max_patterns);
             source.set_position(start + batches_done);
@@ -654,6 +586,7 @@ impl<'n> FaultSimulator<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::StopReason;
     use crate::list::network_fault_list;
     use dynmos_netlist::generate::{
         and_or_tree, c17_dynamic_nmos, domino_wide_and, fig9_cell, single_cell_network,
@@ -908,6 +841,27 @@ mod tests {
         let trunc = sim.run_random(&faults, &mut trunc_src, run.outcome.patterns_applied);
         assert_eq!(run.outcome.detected_at, trunc.detected_at);
         assert_eq!(run.outcome.coverage_curve, trunc.coverage_curve);
+    }
+
+    #[test]
+    fn checkpoint_with_impossible_counts_is_refused() {
+        let parse = |text: &str| FsimCheckpoint::from_json(&Json::parse(text).expect("valid JSON"));
+        // 128 patterns take 2 batches; after 1 batch 64 patterns are done.
+        for good in [
+            r#"{"kind":"fsim","start":0,"batches_done":1,"max_patterns":128,"detected_at":[64,null]}"#,
+            r#"{"kind":"fsim","start":5,"batches_done":2,"max_patterns":100,"detected_at":[100,1]}"#,
+        ] {
+            assert!(parse(good).is_ok(), "{good}");
+        }
+        for bad in [
+            r#"{"kind":"fsim","start":0,"batches_done":2,"max_patterns":128,"detected_at":[999999,null]}"#,
+            r#"{"kind":"fsim","start":0,"batches_done":1,"max_patterns":128,"detected_at":[65]}"#,
+            r#"{"kind":"fsim","start":0,"batches_done":1,"max_patterns":128,"detected_at":[0]}"#,
+            r#"{"kind":"fsim","start":0,"batches_done":3,"max_patterns":128,"detected_at":[]}"#,
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("fsim checkpoint:"), "{bad}: {err}");
+        }
     }
 
     #[test]

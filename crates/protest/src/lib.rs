@@ -71,10 +71,9 @@ pub use length::{
 };
 pub use list::{network_fault_list, stuck_fault_list, FaultEntry};
 pub use montecarlo::{
-    mc_detection_probabilities, mc_detection_probabilities_budgeted,
-    mc_detection_probabilities_par, mc_detection_probability, mc_detection_resume,
-    mc_signal_probability, mc_signal_probability_budgeted, mc_signal_probability_par,
-    mc_signal_resume, BudgetedEstimate, BudgetedEstimates, Estimate, McCheckpoint,
+    mc_detection_probabilities, mc_detection_probabilities_budgeted, mc_detection_probability,
+    mc_detection_resume, mc_signal_probability, mc_signal_probability_budgeted, mc_signal_resume,
+    BudgetedEstimates, Estimate, McCheckpoint,
 };
 pub use optimize::{
     optimize_input_probabilities, optimize_input_probabilities_budgeted,

@@ -8,20 +8,20 @@
 //! observed frequency together with a normal-approximation confidence
 //! half-width, so PROTEST's test-length stage can keep working at scale.
 //!
-//! Both estimators are thread-sharded over the counter-based pattern
-//! stream along the axis the two-axis planner
+//! Both estimators run one walk over the counter-based pattern stream,
+//! sharded along the axis the two-axis planner
 //! ([`crate::parallel::plan_shards`]) picks: detection estimation shards
 //! the *fault list* when it can feed every worker (each worker owns an
 //! evaluator and replays the whole stream for its shard) and falls back
 //! to the *sample-pass axis* in the few-fault regime; signal estimation
-//! has one target, so the planner always hands it the pass axis. Hit
-//! counts over disjoint pass ranges add exactly (integer sums), so
-//! either way the estimates are bit-identical to the serial path at any
-//! thread count.
+//! is the walk's one-target case, so the planner always hands it the
+//! pass axis. Hit counts over disjoint pass ranges add exactly (integer
+//! sums), so either way the estimates are bit-identical to the serial
+//! path at any thread count.
 
-use crate::budget::{self, RunBudget, RunStatus, StopReason};
+use crate::budget::{self, RunBudget, RunStatus};
 use crate::list::FaultEntry;
-use crate::parallel::{plan_shards, try_run_sharded, Parallelism, ShardError, ShardPlan};
+use crate::parallel::{Parallelism, ShardError, StreamWalk, WalkEnd};
 use crate::random::PatternSource;
 use crate::service::json::Json;
 use dynmos_netlist::{NetId, Network, NetworkFault, PackedEvaluator};
@@ -31,10 +31,13 @@ use std::time::Duration;
 /// Lane words per evaluator pass: 4 × 64 = 256 patterns per tape walk.
 const WIDTH: usize = 4;
 
+/// Samples per evaluator pass.
+const PASS_SAMPLES: u64 = WIDTH as u64 * 64;
+
 /// Evaluator passes per budgeted chunk (16 passes = 4096 samples): the
 /// granularity of budget checks and checkpoints. Hit counts are exact
 /// integer sums, so chunking is invisible to the final estimates.
-const CHUNK_PASSES: usize = 16;
+const CHUNK_PASSES: u64 = 16;
 
 /// A Monte Carlo estimate: frequency plus a 95% confidence half-width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +71,7 @@ impl Estimate {
 #[derive(Debug, Clone)]
 pub struct McCheckpoint {
     /// Wide evaluator passes fully drawn so far.
-    passes_done: usize,
+    passes_done: u64,
     /// The run's total sample budget.
     samples: u64,
     /// Per-target hit counts so far (one entry per fault; length 1 for
@@ -77,13 +80,23 @@ pub struct McCheckpoint {
 }
 
 impl McCheckpoint {
+    /// The start of a run: nothing drawn, no hits.
+    fn fresh(samples: u64, targets: Targets<'_>) -> Self {
+        assert!(samples > 0, "need at least one sample");
+        Self {
+            passes_done: 0,
+            samples,
+            hits: vec![0; targets.len()],
+        }
+    }
+
     /// The checkpoint as a JSON object — integer pass and hit counts
     /// serialize exactly, so [`McCheckpoint::from_json`] round-trips
     /// bit-identically and resumed estimates are unchanged.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("kind".into(), Json::str("mc")),
-            ("passes_done".into(), Json::num(self.passes_done as u64)),
+            ("passes_done".into(), Json::num(self.passes_done)),
             ("samples".into(), Json::num(self.samples)),
             (
                 "hits".into(),
@@ -96,7 +109,9 @@ impl McCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message for missing/mistyped fields or a wrong `kind`.
+    /// Returns a message for missing/mistyped fields, a wrong `kind`,
+    /// more passes than the sample budget needs, or a hit count above
+    /// the samples drawn — counts no run can reach.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         if v.get("kind").and_then(Json::as_str) != Some("mc") {
             return Err("not a Monte Carlo checkpoint".into());
@@ -116,16 +131,33 @@ impl McCheckpoint {
                     .ok_or_else(|| format!("mc checkpoint: bad hit count {h}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            passes_done: field("passes_done")? as usize,
+        let cp = Self {
+            passes_done: field("passes_done")?,
             samples: field("samples")?,
             hits,
-        })
+        };
+        if cp.passes_done > cp.samples.div_ceil(PASS_SAMPLES) {
+            return Err(format!(
+                "mc checkpoint: {} passes done exceed the {} needed for {} samples",
+                cp.passes_done,
+                cp.samples.div_ceil(PASS_SAMPLES),
+                cp.samples
+            ));
+        }
+        if let Some(&h) = cp.hits.iter().find(|&&h| h > cp.samples_done()) {
+            return Err(format!(
+                "mc checkpoint: hit count {h} exceeds the {} samples drawn",
+                cp.samples_done()
+            ));
+        }
+        Ok(cp)
     }
 
     /// Samples fully drawn so far.
     pub fn samples_done(&self) -> u64 {
-        ((self.passes_done as u64) * (WIDTH as u64) * 64).min(self.samples)
+        self.passes_done
+            .saturating_mul(PASS_SAMPLES)
+            .min(self.samples)
     }
 
     /// The run's total sample budget.
@@ -134,39 +166,23 @@ impl McCheckpoint {
     }
 }
 
-/// Result of a budgeted whole-list detection estimation: estimates
-/// over the samples drawn so far, completion status, and — when
-/// interrupted — the checkpoint to resume from.
+/// Result of a budgeted Monte Carlo estimation: estimates over the
+/// samples drawn so far, completion status, and — when interrupted —
+/// the checkpoint to resume from.
 #[derive(Debug, Clone)]
 pub struct BudgetedEstimates {
-    /// One estimate per fault over the samples drawn so far (a
-    /// completed run's estimates equal the unbudgeted run's exactly).
+    /// One estimate per fault (one entry for signal estimation) over the
+    /// samples drawn so far (a completed run's estimates equal the
+    /// unbudgeted run's exactly).
     pub estimates: Vec<Estimate>,
     /// Completed, or interrupted at a chunk boundary.
     pub status: RunStatus,
     /// `Some` exactly when interrupted: resume with
-    /// [`mc_detection_resume`].
+    /// [`mc_detection_resume`] or [`mc_signal_resume`].
     pub checkpoint: Option<McCheckpoint>,
     /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was not
-    /// merged; resuming retries it.
-    pub worker_error: Option<ShardError>,
-}
-
-/// Result of a budgeted single-net signal estimation.
-#[derive(Debug, Clone)]
-pub struct BudgetedEstimate {
-    /// The estimate over the samples drawn so far.
-    pub estimate: Estimate,
-    /// Completed, or interrupted at a chunk boundary.
-    pub status: RunStatus,
-    /// `Some` exactly when interrupted: resume with
-    /// [`mc_signal_resume`].
-    pub checkpoint: Option<McCheckpoint>,
-    /// `Some` exactly when the status is
-    /// [`RunStatus::Interrupted`]`(`[`StopReason::WorkerFailed`]`)`: the
-    /// shard whose worker panicked twice. The failed chunk was not
+    /// [`RunStatus::Interrupted`]`(`[`crate::StopReason::WorkerFailed`]`)`:
+    /// the shard whose worker panicked twice. The failed chunk was not
     /// merged; resuming retries it.
     pub worker_error: Option<ShardError>,
 }
@@ -182,15 +198,36 @@ fn estimate_from_counts(hits: u64, samples: u64) -> Estimate {
 
 /// Lane mask for the samples still owed after `drawn` of `samples`.
 fn tail_mask(drawn: u64, samples: u64) -> u64 {
-    match (samples - drawn).min(64) {
+    match samples.saturating_sub(drawn).min(64) {
         64 => u64::MAX,
         0 => 0,
         l => (1u64 << l) - 1,
     }
 }
 
+/// What a Monte Carlo walk counts hits for.
+#[derive(Clone, Copy)]
+enum Targets<'a> {
+    /// Samples on which one net is 1: a single target.
+    Signal(NetId),
+    /// Samples on which each fault is detected: one target per fault.
+    Faults(&'a [FaultEntry]),
+}
+
+impl Targets<'_> {
+    fn len(self) -> usize {
+        match self {
+            Targets::Signal(_) => 1,
+            Targets::Faults(faults) => faults.len(),
+        }
+    }
+}
+
 /// Monte Carlo signal probability of one net under weighted inputs, with
-/// the default thread policy ([`Parallelism::Auto`]).
+/// the default thread policy ([`Parallelism::Auto`]). The estimate is
+/// identical at any thread count. When `DYNMOS_BUDGET_MS` is set, the
+/// estimation runs as an interrupt/resume loop with that per-leg
+/// deadline — producing the identical estimate.
 ///
 /// # Panics
 ///
@@ -214,65 +251,14 @@ pub fn mc_signal_probability(
     seed: u64,
     samples: u64,
 ) -> Estimate {
-    mc_signal_probability_par(net, target, pi_probs, seed, samples, Parallelism::default())
+    mc_estimate(net, Targets::Signal(target), pi_probs, seed, samples)[0]
 }
 
-/// [`mc_signal_probability`] with an explicit thread policy. A single
-/// target net means the planner always shards the pass axis; the
-/// estimate is identical at any thread count. When `DYNMOS_BUDGET_MS`
-/// is set, the estimation runs as an interrupt/resume loop with that
-/// per-leg deadline — producing the identical estimate.
-pub fn mc_signal_probability_par(
-    net: &Network,
-    target: NetId,
-    pi_probs: &[f64],
-    seed: u64,
-    samples: u64,
-    parallelism: Parallelism,
-) -> Estimate {
-    // A worker that failed even its serial retry keeps the historical
-    // panicking contract on this entry point.
-    let check = |run: &BudgetedEstimate| {
-        if let Some(e) = &run.worker_error {
-            panic!("{e}");
-        }
-    };
-    if let Some(ms) = budget::env_budget_ms() {
-        let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-        let mut run = mc_signal_probability_budgeted(
-            net,
-            target,
-            pi_probs,
-            seed,
-            samples,
-            parallelism,
-            &leg(),
-        );
-        check(&run);
-        while let Some(cp) = run.checkpoint.take() {
-            run = mc_signal_resume(net, target, pi_probs, seed, parallelism, &leg(), cp);
-            check(&run);
-        }
-        return run.estimate;
-    }
-    let run = mc_signal_probability_budgeted(
-        net,
-        target,
-        pi_probs,
-        seed,
-        samples,
-        parallelism,
-        &RunBudget::unlimited(),
-    );
-    check(&run);
-    run.estimate
-}
-
-/// [`mc_signal_probability_par`] under a [`RunBudget`]: stops at the
-/// first chunk boundary past the deadline, cancellation, or per-call
-/// sample cap, returning the partial estimate plus a checkpoint for
-/// [`mc_signal_resume`]. A run completed across any number of
-/// interruptions yields the identical estimate.
+/// [`mc_signal_probability`] under a thread policy and a [`RunBudget`]:
+/// stops at the first chunk boundary past the deadline, cancellation,
+/// or per-call sample cap, returning the partial one-entry estimate plus
+/// a checkpoint for [`mc_signal_resume`]. A run completed across any
+/// number of interruptions yields the identical estimate.
 ///
 /// # Panics
 ///
@@ -285,27 +271,19 @@ pub fn mc_signal_probability_budgeted(
     samples: u64,
     parallelism: Parallelism,
     run_budget: &RunBudget,
-) -> BudgetedEstimate {
-    assert!(samples > 0, "need at least one sample");
-    let checkpoint = McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0],
-    };
-    mc_signal_walk(
-        net,
-        target,
-        pi_probs,
-        seed,
-        parallelism,
-        run_budget,
-        checkpoint,
-    )
+) -> BudgetedEstimates {
+    let targets = Targets::Signal(target);
+    let fresh = McCheckpoint::fresh(samples, targets);
+    mc_walk(net, targets, pi_probs, seed, parallelism, run_budget, fresh)
 }
 
 /// Continues an interrupted [`mc_signal_probability_budgeted`] run.
 /// The network, target, probabilities and seed must match the original
 /// call.
+///
+/// # Panics
+///
+/// Panics if the checkpoint is not a one-target (signal) checkpoint.
 pub fn mc_signal_resume(
     net: &Network,
     target: NetId,
@@ -314,141 +292,18 @@ pub fn mc_signal_resume(
     parallelism: Parallelism,
     run_budget: &RunBudget,
     checkpoint: McCheckpoint,
-) -> BudgetedEstimate {
+) -> BudgetedEstimates {
     assert_eq!(checkpoint.hits.len(), 1, "not a signal checkpoint");
-    mc_signal_walk(
+    let targets = Targets::Signal(target);
+    mc_walk(
         net,
-        target,
+        targets,
         pi_probs,
         seed,
         parallelism,
         run_budget,
         checkpoint,
     )
-}
-
-/// Per-pass hit counts for one net over the passes `pass_range`,
-/// tail-masked against `samples` — the pure kernel every signal worker
-/// runs over its disjoint range.
-fn mc_signal_span(
-    net: &Network,
-    target: NetId,
-    src: &PatternSource,
-    pass_range: Range<usize>,
-    samples: u64,
-) -> u64 {
-    let mut ev = PackedEvaluator::with_width(net, WIDTH);
-    let mut batch = vec![0u64; src.input_count() * WIDTH];
-    let mut hits = 0u64;
-    for pass in pass_range {
-        let first_batch = pass as u64 * WIDTH as u64;
-        src.fill_batch_wide_at(first_batch, WIDTH, &mut batch);
-        let values = ev.eval(&batch);
-        for w in 0..WIDTH {
-            let drawn = (first_batch + w as u64) * 64;
-            if drawn >= samples {
-                break;
-            }
-            let mask = tail_mask(drawn, samples);
-            hits += (values[target.index() * WIDTH + w] & mask).count_ones() as u64;
-        }
-    }
-    hits
-}
-
-/// The chunked signal-estimation walk: disjoint pass chunks, budget
-/// checks between chunks only, exact integer hit sums (chunking and
-/// sharding both invisible to the estimate).
-fn mc_signal_walk(
-    net: &Network,
-    target: NetId,
-    pi_probs: &[f64],
-    seed: u64,
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    checkpoint: McCheckpoint,
-) -> BudgetedEstimate {
-    let McCheckpoint {
-        mut passes_done,
-        samples,
-        mut hits,
-    } = checkpoint;
-    let src = PatternSource::new(seed, pi_probs.to_vec());
-    // One evaluator pass covers WIDTH * 64 samples.
-    let total_passes = samples.div_ceil((WIDTH as u64) * 64) as usize;
-    let threads = parallelism.resolve();
-    let chunk = if run_budget.is_unlimited() {
-        total_passes.max(1)
-    } else {
-        CHUNK_PASSES
-    };
-    let call_start = passes_done;
-    let cap_passes = run_budget
-        .max_patterns
-        .map(|p| (p.div_ceil((WIDTH as u64) * 64) as usize).max(1));
-    let mut stop: Option<StopReason> = None;
-    let mut worker_error: Option<ShardError> = None;
-    while passes_done < total_passes {
-        let mut end = (passes_done + chunk).min(total_passes);
-        if let Some(cap) = cap_passes {
-            end = end.min(call_start + cap);
-        }
-        let range = passes_done..end;
-        let workers = plan_shards(1, range.len() as u64, threads).workers();
-        // A twice-failed shard stops the walk before `passes_done`
-        // advances: the failed chunk is discarded whole and the
-        // checkpoint stays at the last merged boundary.
-        match try_run_sharded(range.len(), workers, |r| {
-            mc_signal_span(
-                net,
-                target,
-                &src,
-                range.start + r.start..range.start + r.end,
-                samples,
-            )
-        }) {
-            Ok(spans) => hits[0] += spans.into_iter().sum::<u64>(),
-            Err(e) => {
-                worker_error = Some(e);
-                stop = Some(StopReason::WorkerFailed);
-                break;
-            }
-        }
-        passes_done = range.end;
-        if passes_done >= total_passes {
-            break;
-        }
-        if cap_passes.is_some_and(|cap| passes_done - call_start >= cap) {
-            stop = Some(StopReason::PatternCap);
-            break;
-        }
-        if let Some(reason) = run_budget.stop_requested() {
-            stop = Some(reason);
-            break;
-        }
-    }
-    let drawn = ((passes_done as u64) * (WIDTH as u64) * 64)
-        .min(samples)
-        .max(1);
-    let estimate = estimate_from_counts(hits[0], drawn);
-    match stop {
-        Some(reason) => BudgetedEstimate {
-            estimate,
-            status: RunStatus::Interrupted(reason),
-            checkpoint: Some(McCheckpoint {
-                passes_done,
-                samples,
-                hits,
-            }),
-            worker_error,
-        },
-        None => BudgetedEstimate {
-            estimate,
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        },
-    }
 }
 
 /// Monte Carlo detection probability of one fault.
@@ -458,28 +313,34 @@ fn mc_signal_walk(
 /// Panics if `samples == 0` or the probability arity mismatches.
 pub fn mc_detection_probability(
     net: &Network,
-    fault: &dynmos_netlist::NetworkFault,
+    fault: &NetworkFault,
     pi_probs: &[f64],
     seed: u64,
     samples: u64,
 ) -> Estimate {
-    mc_detection_core(
-        net,
-        std::slice::from_ref(fault),
-        pi_probs,
-        seed,
-        samples,
-        Parallelism::default(),
-    )
-    .pop()
-    .expect("one estimate per fault")
+    let entry = FaultEntry {
+        label: String::new(),
+        fault: fault.clone(),
+        at_speed_only: false,
+    };
+    mc_detection_probabilities(net, std::slice::from_ref(&entry), pi_probs, seed, samples)[0]
 }
 
 /// Monte Carlo detection probabilities for a whole list (one estimate per
 /// entry), sharing one pattern stream across faults so estimates are
 /// comparable — and sharing each batch's good-machine evaluation, so the
 /// marginal cost per fault is its fanout cone, not the network. Uses the
-/// default thread policy ([`Parallelism::Auto`]).
+/// default thread policy ([`Parallelism::Auto`]); work is sharded along
+/// the planner's axis — fault slices replaying the same counter-based
+/// stream, or disjoint pass ranges covering every fault in the few-fault
+/// regime (hit counts add exactly) — so the estimates are identical at
+/// any thread count. When `DYNMOS_BUDGET_MS` is set, the estimation runs
+/// as an interrupt/resume loop with that per-leg deadline — producing
+/// the identical estimates.
+///
+/// # Panics
+///
+/// Panics if `samples == 0` or the probability arity mismatches.
 pub fn mc_detection_probabilities(
     net: &Network,
     faults: &[FaultEntry],
@@ -487,34 +348,15 @@ pub fn mc_detection_probabilities(
     seed: u64,
     samples: u64,
 ) -> Vec<Estimate> {
-    mc_detection_probabilities_par(net, faults, pi_probs, seed, samples, Parallelism::default())
+    mc_estimate(net, Targets::Faults(faults), pi_probs, seed, samples)
 }
 
-/// [`mc_detection_probabilities`] with an explicit thread policy. Work
-/// is sharded along the planner's axis — fault slices replaying the same
-/// counter-based stream, or disjoint pass ranges covering every fault in
-/// the few-fault regime (hit counts add exactly); estimates are
-/// identical at any thread count either way. When `DYNMOS_BUDGET_MS`
-/// is set, the estimation runs as an interrupt/resume loop with that
-/// per-leg deadline — producing the identical estimates.
-pub fn mc_detection_probabilities_par(
-    net: &Network,
-    faults: &[FaultEntry],
-    pi_probs: &[f64],
-    seed: u64,
-    samples: u64,
-    parallelism: Parallelism,
-) -> Vec<Estimate> {
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    mc_detection_core(net, &faults, pi_probs, seed, samples, parallelism)
-}
-
-/// [`mc_detection_probabilities_par`] under a [`RunBudget`]: stops at
-/// the first chunk boundary past the deadline, cancellation, or
-/// per-call sample cap, returning partial estimates plus a checkpoint
-/// for [`mc_detection_resume`]. A run completed across any number of
-/// interruptions yields estimates bit-identical to an uninterrupted
-/// run at any thread count.
+/// [`mc_detection_probabilities`] under a thread policy and a
+/// [`RunBudget`]: stops at the first chunk boundary past the deadline,
+/// cancellation, or per-call sample cap, returning partial estimates
+/// plus a checkpoint for [`mc_detection_resume`]. A run completed
+/// across any number of interruptions yields estimates bit-identical to
+/// an uninterrupted run at any thread count.
 ///
 /// # Panics
 ///
@@ -528,30 +370,9 @@ pub fn mc_detection_probabilities_budgeted(
     parallelism: Parallelism,
     run_budget: &RunBudget,
 ) -> BudgetedEstimates {
-    assert!(samples > 0, "need at least one sample");
-    if faults.is_empty() {
-        return BudgetedEstimates {
-            estimates: Vec::new(),
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        };
-    }
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    let checkpoint = McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0; faults.len()],
-    };
-    mc_detection_walk(
-        net,
-        &faults,
-        pi_probs,
-        seed,
-        parallelism,
-        run_budget,
-        checkpoint,
-    )
+    let targets = Targets::Faults(faults);
+    let fresh = McCheckpoint::fresh(samples, targets);
+    mc_walk(net, targets, pi_probs, seed, parallelism, run_budget, fresh)
 }
 
 /// Continues an interrupted [`mc_detection_probabilities_budgeted`]
@@ -575,10 +396,10 @@ pub fn mc_detection_resume(
         faults.len(),
         "checkpoint fault count mismatch"
     );
-    let faults: Vec<NetworkFault> = faults.iter().map(|e| e.fault.clone()).collect();
-    mc_detection_walk(
+    let targets = Targets::Faults(faults);
+    mc_walk(
         net,
-        &faults,
+        targets,
         pi_probs,
         seed,
         parallelism,
@@ -587,62 +408,44 @@ pub fn mc_detection_resume(
     )
 }
 
-fn mc_detection_core(
+/// The budget-less estimators' run: one unlimited walk, or — when
+/// `DYNMOS_BUDGET_MS` is set — an interrupt/resume loop with that
+/// per-leg deadline. A worker that failed even its serial retry keeps
+/// the historical panicking contract here.
+fn mc_estimate(
     net: &Network,
-    faults: &[NetworkFault],
+    targets: Targets<'_>,
     pi_probs: &[f64],
     seed: u64,
     samples: u64,
-    parallelism: Parallelism,
 ) -> Vec<Estimate> {
-    assert!(samples > 0, "need at least one sample");
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let fresh = |_: &()| McCheckpoint {
-        passes_done: 0,
-        samples,
-        hits: vec![0; faults.len()],
+    let ms = budget::env_budget_ms();
+    let leg = || {
+        ms.map_or_else(RunBudget::unlimited, |ms| {
+            RunBudget::deadline_in(Duration::from_millis(ms))
+        })
     };
-    // A worker that failed even its serial retry keeps the historical
-    // panicking contract on this entry point.
-    let check = |run: &BudgetedEstimates| {
+    let parallelism = Parallelism::default();
+    let fresh = McCheckpoint::fresh(samples, targets);
+    let mut run = mc_walk(net, targets, pi_probs, seed, parallelism, &leg(), fresh);
+    loop {
         if let Some(e) = &run.worker_error {
             panic!("{e}");
         }
-    };
-    if let Some(ms) = budget::env_budget_ms() {
-        let leg = || RunBudget::deadline_in(Duration::from_millis(ms));
-        let mut run =
-            mc_detection_walk(net, faults, pi_probs, seed, parallelism, &leg(), fresh(&()));
-        check(&run);
-        while let Some(cp) = run.checkpoint.take() {
-            run = mc_detection_walk(net, faults, pi_probs, seed, parallelism, &leg(), cp);
-            check(&run);
-        }
-        return run.estimates;
+        let Some(cp) = run.checkpoint.take() else {
+            return run.estimates;
+        };
+        run = mc_walk(net, targets, pi_probs, seed, parallelism, &leg(), cp);
     }
-    let run = mc_detection_walk(
-        net,
-        faults,
-        pi_probs,
-        seed,
-        parallelism,
-        &RunBudget::unlimited(),
-        fresh(&()),
-    );
-    check(&run);
-    run.estimates
 }
 
-/// The chunked detection-estimation walk both entry points share. Each
-/// chunk shards along the planner's axis; per-fault hit counts over
-/// disjoint pass ranges add exactly, so neither chunking nor sharding
-/// is visible in the estimates; budget checks happen only between
-/// chunks, after at least one has run.
-fn mc_detection_walk(
+/// The Monte Carlo walk every estimator shares ([`StreamWalk`] over
+/// wide evaluator passes): per-target hit counts over disjoint pass
+/// ranges add exactly, so neither chunking nor sharding is visible in
+/// the estimates.
+fn mc_walk(
     net: &Network,
-    faults: &[NetworkFault],
+    targets: Targets<'_>,
     pi_probs: &[f64],
     seed: u64,
     parallelism: Parallelism,
@@ -650,146 +453,95 @@ fn mc_detection_walk(
     checkpoint: McCheckpoint,
 ) -> BudgetedEstimates {
     let McCheckpoint {
-        mut passes_done,
+        passes_done,
         samples,
         mut hits,
     } = checkpoint;
     let src = PatternSource::new(seed, pi_probs.to_vec());
-    let total_passes = samples.div_ceil((WIDTH as u64) * 64) as usize;
-    let threads = parallelism.resolve();
-    let chunk = if run_budget.is_unlimited() {
-        total_passes.max(1)
-    } else {
-        CHUNK_PASSES
-    };
-    let call_start = passes_done;
-    let cap_passes = run_budget
-        .max_patterns
-        .map(|p| (p.div_ceil((WIDTH as u64) * 64) as usize).max(1));
-    let mut stop: Option<StopReason> = None;
-    let mut worker_error: Option<ShardError> = None;
-    while passes_done < total_passes {
-        let mut end = (passes_done + chunk).min(total_passes);
-        if let Some(cap) = cap_passes {
-            end = end.min(call_start + cap);
-        }
-        let range = passes_done..end;
-        // A twice-failed shard stops the walk before `passes_done`
-        // advances: the failed chunk is discarded whole and the
-        // checkpoint stays at the last merged boundary.
-        let sharded = match plan_shards(faults.len(), range.len() as u64, threads) {
-            ShardPlan::Faults(workers) => try_run_sharded(faults.len(), workers, |fault_range| {
-                mc_detection_span(net, &faults[fault_range], &src, range.clone(), samples)
-            })
-            .map(|results| results.into_iter().flatten().collect::<Vec<u64>>()),
-            ShardPlan::Patterns(workers) => try_run_sharded(range.len(), workers, |pass_range| {
-                mc_detection_span(
-                    net,
-                    faults,
-                    &src,
-                    range.start + pass_range.start..range.start + pass_range.end,
-                    samples,
-                )
-            })
-            .map(|spans| {
-                // Disjoint pass ranges: per-fault hit counts add exactly.
-                let mut acc = vec![0u64; faults.len()];
-                for span in spans {
-                    for (a, s) in acc.iter_mut().zip(span) {
-                        *a += s;
-                    }
-                }
-                acc
-            }),
-        };
-        let chunk_hits: Vec<u64> = match sharded {
-            Ok(v) => v,
-            Err(e) => {
-                worker_error = Some(e);
-                stop = Some(StopReason::WorkerFailed);
-                break;
-            }
-        };
-        for (h, c) in hits.iter_mut().zip(chunk_hits) {
-            *h += c;
-        }
-        passes_done = range.end;
-        if passes_done >= total_passes {
-            break;
-        }
-        if cap_passes.is_some_and(|cap| passes_done - call_start >= cap) {
-            stop = Some(StopReason::PatternCap);
-            break;
-        }
-        if let Some(reason) = run_budget.stop_requested() {
-            stop = Some(reason);
-            break;
-        }
+    let WalkEnd {
+        done: passes_done,
+        stop,
+        error,
+    } = StreamWalk {
+        done: passes_done,
+        total: samples.div_ceil(PASS_SAMPLES),
+        chunk: CHUNK_PASSES,
+        unit_patterns: PASS_SAMPLES,
+        threads: parallelism.resolve(),
+        budget: run_budget,
     }
-    let drawn = ((passes_done as u64) * (WIDTH as u64) * 64)
-        .min(samples)
-        .max(1);
+    .run(
+        &mut hits,
+        |hits| (0..hits.len()).collect(),
+        |subset, passes| mc_span(net, targets, subset, &src, passes, samples),
+        |h, c| *h += c,
+    );
+    let drawn = (passes_done * PASS_SAMPLES).min(samples).max(1);
     let estimates = hits
         .iter()
         .map(|&h| estimate_from_counts(h, drawn))
         .collect();
-    match stop {
-        Some(reason) => BudgetedEstimates {
-            estimates,
-            status: RunStatus::Interrupted(reason),
-            checkpoint: Some(McCheckpoint {
-                passes_done,
-                samples,
-                hits,
-            }),
-            worker_error,
-        },
-        None => BudgetedEstimates {
-            estimates,
-            status: RunStatus::Completed,
-            checkpoint: None,
-            worker_error: None,
-        },
+    BudgetedEstimates {
+        estimates,
+        status: stop.map_or(RunStatus::Completed, RunStatus::Interrupted),
+        checkpoint: stop.map(|_| McCheckpoint {
+            passes_done,
+            samples,
+            hits,
+        }),
+        worker_error: error,
     }
 }
 
-/// The kernel both axes share: per-fault hit counts for `faults` over
-/// the wide evaluator passes `pass_range` of the stream (pass `p` covers
-/// samples `p * WIDTH * 64 ..`, tail-masked against `samples`). The
-/// fault axis calls it with the full pass range and a fault slice; the
-/// pattern axis with a pass slice and the full fault list.
-fn mc_detection_span(
+/// The kernel both axes share: per-target hit counts for the targets
+/// `subset` over the wide evaluator passes `passes` of the stream (pass
+/// `p` covers samples `p * WIDTH * 64 ..`, tail-masked against
+/// `samples`). The fault axis calls it with the full pass range and a
+/// target slice; the pattern axis with a pass slice and every target.
+fn mc_span(
     net: &Network,
-    faults: &[NetworkFault],
+    targets: Targets<'_>,
+    subset: &[usize],
     src: &PatternSource,
-    pass_range: Range<usize>,
+    passes: Range<u64>,
     samples: u64,
 ) -> Vec<u64> {
-    let prepared: Vec<_> = faults.iter().map(|f| net.prepare_fault(f)).collect();
+    let prepared: Vec<_> = match targets {
+        Targets::Signal(_) => Vec::new(),
+        Targets::Faults(faults) => subset
+            .iter()
+            .map(|&i| net.prepare_fault(&faults[i].fault))
+            .collect(),
+    };
     let mut ev = PackedEvaluator::with_width(net, WIDTH);
     let mut batch = vec![0u64; src.input_count() * WIDTH];
-    let mut hits = vec![0u64; prepared.len()];
-    let mut diff = vec![0u64; WIDTH];
+    let mut hits = vec![0u64; subset.len()];
+    let mut diff = [0u64; WIDTH];
     let mut masks = [0u64; WIDTH];
-    for pass in pass_range {
-        let first_batch = pass as u64 * WIDTH as u64;
+    for pass in passes {
+        let first_batch = pass * WIDTH as u64;
         if first_batch * 64 >= samples {
             break;
         }
         src.fill_batch_wide_at(first_batch, WIDTH, &mut batch);
-        ev.eval(&batch);
+        let values = ev.eval(&batch);
         for (w, mask) in masks.iter_mut().enumerate() {
-            let drawn = (first_batch + w as u64) * 64;
-            *mask = if drawn >= samples {
-                0
-            } else {
-                tail_mask(drawn, samples)
-            };
+            *mask = tail_mask((first_batch + w as u64) * 64, samples);
         }
-        for (fi, p) in prepared.iter().enumerate() {
-            ev.fault_diff(p, &mut diff);
-            for (d, m) in diff.iter().zip(&masks) {
-                hits[fi] += (d & m).count_ones() as u64;
+        match targets {
+            Targets::Signal(net_id) => {
+                let words = &values[net_id.index() * WIDTH..][..WIDTH];
+                for (v, m) in words.iter().zip(&masks) {
+                    hits[0] += (v & m).count_ones() as u64;
+                }
+            }
+            Targets::Faults(_) => {
+                for (h, p) in hits.iter_mut().zip(&prepared) {
+                    ev.fault_diff(p, &mut diff);
+                    for (d, m) in diff.iter().zip(&masks) {
+                        *h += (d & m).count_ones() as u64;
+                    }
+                }
             }
         }
     }
@@ -887,22 +639,32 @@ mod tests {
         assert!(est.value >= 0.0 && est.value <= 1.0);
     }
 
+    /// Estimates of a budgeted run at an explicit thread count under an
+    /// unlimited budget.
+    fn at_threads(run: BudgetedEstimates) -> Vec<Estimate> {
+        assert!(run.status.is_complete());
+        run.estimates
+    }
+
     #[test]
     fn thread_count_does_not_change_estimates() {
         let net = c17_dynamic_nmos();
         let faults = network_fault_list(&net);
         let probs = vec![0.25, 0.5, 0.9375, 0.5, 0.75];
-        let serial =
-            mc_detection_probabilities_par(&net, &faults, &probs, 7, 10_123, Parallelism::Serial);
+        let plain = mc_detection_probabilities(&net, &faults, &probs, 7, 10_123);
         let po = net.primary_outputs()[0];
-        let sig_serial =
-            mc_signal_probability_par(&net, po, &probs, 7, 10_123, Parallelism::Serial);
-        for threads in [2usize, 4, 8] {
+        let sig_plain = mc_signal_probability(&net, po, &probs, 7, 10_123);
+        let unlimited = RunBudget::unlimited();
+        for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::Fixed(threads);
-            let est = mc_detection_probabilities_par(&net, &faults, &probs, 7, 10_123, par);
-            assert_eq!(est, serial, "threads={threads}");
-            let sig = mc_signal_probability_par(&net, po, &probs, 7, 10_123, par);
-            assert_eq!(sig, sig_serial, "threads={threads}");
+            let est = at_threads(mc_detection_probabilities_budgeted(
+                &net, &faults, &probs, 7, 10_123, par, &unlimited,
+            ));
+            assert_eq!(est, plain, "threads={threads}");
+            let sig = at_threads(mc_signal_probability_budgeted(
+                &net, po, &probs, 7, 10_123, par, &unlimited,
+            ));
+            assert_eq!(sig, [sig_plain], "threads={threads}");
         }
     }
 
@@ -913,18 +675,35 @@ mod tests {
         let net = c17_dynamic_nmos();
         let faults: Vec<FaultEntry> = network_fault_list(&net).into_iter().take(2).collect();
         let probs = vec![0.25, 0.5, 0.9375, 0.5, 0.75];
-        let serial =
-            mc_detection_probabilities_par(&net, &faults, &probs, 7, 50_123, Parallelism::Serial);
-        for threads in [4usize, 8, 16] {
-            let est = mc_detection_probabilities_par(
+        let plain = mc_detection_probabilities(&net, &faults, &probs, 7, 50_123);
+        for threads in [1usize, 4, 8, 16] {
+            let est = at_threads(mc_detection_probabilities_budgeted(
                 &net,
                 &faults,
                 &probs,
                 7,
                 50_123,
                 Parallelism::Fixed(threads),
-            );
-            assert_eq!(est, serial, "threads={threads}");
+                &RunBudget::unlimited(),
+            ));
+            assert_eq!(est, plain, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_with_impossible_counts_is_refused() {
+        let parse = |text: &str| McCheckpoint::from_json(&Json::parse(text).expect("valid JSON"));
+        // 1024 samples take 4 passes of 256; after 2 passes 512 are drawn.
+        assert!(parse(r#"{"kind":"mc","passes_done":2,"samples":1024,"hits":[512,0]}"#).is_ok());
+        assert!(parse(r#"{"kind":"mc","passes_done":4,"samples":1000,"hits":[1000]}"#).is_ok());
+        for bad in [
+            r#"{"kind":"mc","passes_done":0,"samples":1024,"hits":[5000,0]}"#,
+            r#"{"kind":"mc","passes_done":2,"samples":1024,"hits":[513,0]}"#,
+            r#"{"kind":"mc","passes_done":5,"samples":1024,"hits":[0]}"#,
+            r#"{"kind":"mc","passes_done":5,"samples":1000,"hits":[0]}"#,
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("mc checkpoint:"), "{bad}: {err}");
         }
     }
 

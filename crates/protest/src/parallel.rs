@@ -73,13 +73,27 @@
 //!    loop under an always-expired budget (`DYNMOS_BUDGET_MS=0`) still
 //!    terminates.
 //!
-//! **Exact → Monte Carlo degradation rule:** exact enumeration refuses
-//! a row space larger than [`crate::RunBudget::effective_exact_rows`]
-//! up front ([`crate::StopReason::RowCap`]) instead of hanging;
-//! [`crate::detection_probability_estimates`] then transparently falls
-//! back to the Monte Carlo estimator and labels each result with the
-//! method that produced it ([`crate::EstimateMethod`]), so callers —
-//! including the optimizer — always know which path ran.
+//! For the stream kernels — fault simulation and both Monte Carlo
+//! estimators — these rules run in one place: the crate-private
+//! `StreamWalk`. It cuts the stream into chunks (one chunk under an
+//! unlimited budget), asks the kernel for the targets still live,
+//! shards each chunk with [`plan_shards`] and [`try_run_sharded`],
+//! merges the shard results into the per-target state element by
+//! element (minimum detection index, integer hit sum), and checks the
+//! pattern cap and the budget between chunks only. Exact enumeration
+//! and PODEM keep their own walks: the enumeration's f64 block fold is
+//! order-sensitive, and PODEM's unit of work is a fault, not a stream
+//! chunk.
+//!
+//! **Exact → symbolic degradation rule:** exact enumeration refuses a
+//! row space larger than [`crate::RunBudget::effective_exact_rows`] up
+//! front ([`crate::StopReason::RowCap`]) instead of hanging;
+//! [`crate::detection_probability_estimates`] then falls back to the
+//! symbolic tiers of [`crate::DetectionEngine`] — the BDD tier, then
+//! certified cutting bounds per fault on node overflow — and labels
+//! each result with the method that produced it
+//! ([`crate::EstimateMethod`]), so callers — including the optimizer —
+//! always know which path ran.
 //!
 //! # Panic isolation
 //!
@@ -134,6 +148,7 @@
 //! `PreparedFault` to `Send + Sync` so a regression fails the build, not
 //! a run.
 
+use crate::budget::{RunBudget, StopReason};
 use std::ops::Range;
 
 /// How many worker threads a PROTEST kernel may use.
@@ -400,6 +415,119 @@ where
     F: Fn(Range<usize>) -> R + Sync,
 {
     try_run_sharded(n, threads, worker).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The position and limits of one call's walk over a counter-based
+/// stream: units (fsim stream batches, Monte Carlo wide passes)
+/// `done..total`, cut into `chunk`-unit chunks under a limited budget.
+pub(crate) struct StreamWalk<'b> {
+    /// Units already merged (the checkpoint position).
+    pub(crate) done: u64,
+    /// Units in the whole run.
+    pub(crate) total: u64,
+    /// Units per chunk when the budget is limited; an unlimited budget
+    /// runs the whole remaining stream as one chunk.
+    pub(crate) chunk: u64,
+    /// Patterns per unit, converting the budget's per-call pattern cap
+    /// into units.
+    pub(crate) unit_patterns: u64,
+    /// Worker threads for [`plan_shards`].
+    pub(crate) threads: usize,
+    /// Deadline, cancellation and pattern cap, checked between chunks.
+    pub(crate) budget: &'b RunBudget,
+}
+
+/// Where a [`StreamWalk`] stopped: the units merged so far, why it
+/// stopped early (`None` = completed), and the error of a shard that
+/// failed twice.
+pub(crate) struct WalkEnd {
+    pub(crate) done: u64,
+    pub(crate) stop: Option<StopReason>,
+    pub(crate) error: Option<ShardError>,
+}
+
+impl StreamWalk<'_> {
+    /// Walks the stream chunk by chunk, merging each chunk into the
+    /// per-target accumulator `acc` — the one place the budget,
+    /// cancellation and checkpoint contract of this module runs.
+    ///
+    /// Per chunk: `live(acc)` lists the targets still to simulate (an
+    /// empty list completes the walk, checked before the cap and the
+    /// budget); [`plan_shards`] cuts (targets × units) along one axis;
+    /// `span(targets, units)` returns one value per listed target over
+    /// a unit range; and `merge` folds each value into its target's
+    /// slot. `merge` must be order-independent (minimum, integer add),
+    /// so the axis, the thread count and the chunking never show in
+    /// `acc`. The per-call pattern cap and the budget are checked only
+    /// between chunks and only after one has merged (forward progress).
+    /// A shard that fails twice discards its chunk whole and stops the
+    /// walk with [`StopReason::WorkerFailed`] at the last merged
+    /// boundary.
+    pub(crate) fn run<T: Send>(
+        self,
+        acc: &mut [T],
+        live: impl Fn(&[T]) -> Vec<usize>,
+        span: impl Fn(&[usize], Range<u64>) -> Vec<T> + Sync,
+        merge: impl Fn(&mut T, T),
+    ) -> WalkEnd {
+        let chunk = if self.budget.is_unlimited() {
+            self.total.max(1)
+        } else {
+            self.chunk
+        };
+        let call_start = self.done;
+        let cap = self
+            .budget
+            .max_patterns
+            .map(|p| p.div_ceil(self.unit_patterns).max(1));
+        let mut done = self.done;
+        let end = |done, stop, error| WalkEnd { done, stop, error };
+        while done < self.total {
+            let targets = live(acc);
+            if targets.is_empty() {
+                break;
+            }
+            if done > call_start {
+                if cap.is_some_and(|cap| done - call_start >= cap) {
+                    return end(done, Some(StopReason::PatternCap), None);
+                }
+                if let Some(reason) = self.budget.stop_requested() {
+                    return end(done, Some(reason), None);
+                }
+            }
+            let mut units_end = (done + chunk).min(self.total);
+            if let Some(cap) = cap {
+                units_end = units_end.min(call_start + cap);
+            }
+            let units = done..units_end;
+            // Each shard returns the target slice it covered with its
+            // values, so both axes merge by the same element-wise rule.
+            let sharded = match plan_shards(targets.len(), units_end - done, self.threads) {
+                ShardPlan::Faults(workers) => try_run_sharded(targets.len(), workers, |r| {
+                    let values = span(&targets[r.clone()], units.clone());
+                    (r, values)
+                }),
+                ShardPlan::Patterns(workers) => {
+                    try_run_sharded((units_end - done) as usize, workers, |r| {
+                        let shard = done + r.start as u64..done + r.end as u64;
+                        (0..targets.len(), span(&targets, shard))
+                    })
+                }
+            };
+            match sharded {
+                Ok(parts) => {
+                    for (r, values) in parts {
+                        for (&t, v) in targets[r].iter().zip(values) {
+                            merge(&mut acc[t], v);
+                        }
+                    }
+                }
+                Err(e) => return end(done, Some(StopReason::WorkerFailed), Some(e)),
+            }
+            done = units_end;
+        }
+        end(done, None, None)
+    }
 }
 
 #[cfg(test)]

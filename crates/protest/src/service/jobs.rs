@@ -484,7 +484,7 @@ impl Resumable for McSignal {
         Leg {
             status: run.status,
             checkpoint: run.checkpoint,
-            outcome: run.estimate,
+            outcome: run.estimates[0],
             error: run.worker_error.map(|e| e.to_string()),
         }
     }
@@ -500,12 +500,12 @@ impl Resumable for McSignal {
     }
 }
 
-/// The exact-with-Monte-Carlo-degradation detection estimator
-/// ([`detection_probability_estimates`]). No checkpoint exists for this
-/// kernel, so an interrupted leg (or a process crash — its journal
-/// snapshot is `null`) restarts from scratch — completion
-/// is still deterministic because the estimator is a pure function of
-/// `(net, faults, probs, seed)`.
+/// The tiered detection estimator ([`detection_probability_estimates`]:
+/// exact enumeration, degrading to the BDD and cutting tiers). No
+/// checkpoint exists for this kernel, so an interrupted leg (or a
+/// process crash — its journal snapshot is `null`) restarts from
+/// scratch — completion is still deterministic because the estimator is
+/// a pure function of `(net, faults, probs, seed)`.
 struct DetectEstimatesJob {
     net: Arc<Network>,
     faults: Vec<FaultEntry>,

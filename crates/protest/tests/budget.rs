@@ -7,12 +7,13 @@
 
 use dynmos_netlist::generate::ripple_adder;
 use dynmos_protest::{
-    detection_probability_estimates_with, mc_detection_probabilities_budgeted,
-    mc_detection_probabilities_par, mc_detection_resume, mc_signal_probability_budgeted,
-    mc_signal_probability_par, mc_signal_resume, stuck_fault_list, EstimateMethod, FaultEntry,
-    FaultSimulator, Parallelism, PatternSource, RunBudget, RunStatus, StopReason,
-    TestabilityConfig, TierMode,
+    chaos, detection_probability_estimates_with, mc_detection_probabilities,
+    mc_detection_probabilities_budgeted, mc_detection_resume, mc_signal_probability,
+    mc_signal_probability_budgeted, mc_signal_resume, stuck_fault_list, BudgetedEstimates,
+    Estimate, EstimateMethod, FaultEntry, FaultPlan, FaultSimulator, McCheckpoint, Parallelism,
+    PatternSource, RunBudget, RunStatus, StopReason, TestabilityConfig, TierMode,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -135,8 +136,7 @@ fn interrupted_mc_detection_resumes_bit_identical() {
     let samples = 9_999u64;
     for fault_count in [1usize, 24] {
         let faults: Vec<FaultEntry> = all.iter().take(fault_count).cloned().collect();
-        let serial =
-            mc_detection_probabilities_par(&net, &faults, &probs, 42, samples, Parallelism::Serial);
+        let serial = mc_detection_probabilities(&net, &faults, &probs, 42, samples);
         for threads in THREAD_COUNTS {
             let par = Parallelism::Fixed(threads);
             // 2048 samples per leg: five legs to finish 9 999.
@@ -173,7 +173,7 @@ fn interrupted_mc_signal_resumes_bit_identical() {
     let n = net.primary_inputs().len();
     let probs: Vec<f64> = (0..n).map(|i| [0.75, 0.5][i % 2]).collect();
     let po = net.primary_outputs()[0];
-    let serial = mc_signal_probability_par(&net, po, &probs, 99, 7_777, Parallelism::Serial);
+    let serial = mc_signal_probability(&net, po, &probs, 99, 7_777);
     for threads in THREAD_COUNTS {
         let par = Parallelism::Fixed(threads);
         let leg = || RunBudget::unlimited().with_max_patterns(2048);
@@ -185,8 +185,62 @@ fn interrupted_mc_signal_resumes_bit_identical() {
         }
         assert!(legs > 1, "threads={threads}");
         assert!(run.status.is_complete());
-        assert_eq!(run.estimate, serial, "threads={threads}");
+        assert_eq!(run.estimates, [serial], "threads={threads}");
     }
+}
+
+/// The Monte Carlo half of the worker-failure test: `leg(None)` starts
+/// a run capped at 2048 samples per leg, `leg(Some(cp))` resumes one.
+/// Leg 1 merges cleanly; leg 2 runs under persistently panicking
+/// workers and must stop with `WorkerFailed` at the leg-1 boundary; a
+/// healthy resume loop from there must equal `serial` bit for bit.
+fn mc_worker_failure_keeps_merged_hits(
+    what: &str,
+    leg: impl Fn(Option<McCheckpoint>) -> BudgetedEstimates,
+    serial: &[Estimate],
+) {
+    let inert = Arc::new(FaultPlan::new(0));
+    let run = chaos::scoped(inert.clone(), || leg(None));
+    assert_eq!(
+        run.status,
+        RunStatus::Interrupted(StopReason::PatternCap),
+        "{what}"
+    );
+    assert!(run.worker_error.is_none(), "{what}");
+    let cp = run.checkpoint.expect("leg 1 checkpoint");
+    assert_eq!(cp.samples_done(), 2048, "{what}");
+    let merged = cp.to_json();
+
+    let hostile = Arc::new(FaultPlan::new(3).worker_panic_persistent(1.0));
+    let run = chaos::scoped(hostile, || leg(Some(cp)));
+    assert_eq!(
+        run.status,
+        RunStatus::Interrupted(StopReason::WorkerFailed),
+        "{what}"
+    );
+    let err = run.worker_error.expect("shard error travels with the stop");
+    assert!(
+        err.to_string().contains("injected persistent worker panic"),
+        "{what}: unexpected shard error: {err}"
+    );
+    let cp = run.checkpoint.expect("checkpoint survives the failure");
+    assert_eq!(
+        cp.samples_done(),
+        2048,
+        "{what}: failed chunk must not advance the checkpoint"
+    );
+    assert_eq!(cp.to_json(), merged, "{what}: failed chunk merged hits");
+
+    let run = chaos::scoped(inert, || {
+        let mut run = leg(Some(cp));
+        while let Some(cp) = run.checkpoint.take() {
+            run = leg(Some(cp));
+        }
+        run
+    });
+    assert!(run.status.is_complete(), "{what}");
+    assert!(run.worker_error.is_none(), "{what}");
+    assert_eq!(run.estimates, serial, "{what}");
 }
 
 /// A worker that panics on both the sharded attempt and the serial
@@ -194,13 +248,11 @@ fn interrupted_mc_signal_resumes_bit_identical() {
 /// [`dynmos_protest::ShardError`] attached — without losing coverage
 /// already merged from earlier chunks: the checkpoint stays at the last
 /// merged boundary, and a healthy resume from it finishes bit-identical
-/// to the uninterrupted serial run.
+/// to the uninterrupted serial run. Covered for fault simulation, Monte
+/// Carlo detection (fault axis) and Monte Carlo signal estimation
+/// (pattern axis).
 #[test]
 fn double_panicking_worker_surfaces_error_and_keeps_merged_coverage() {
-    use dynmos_protest::chaos;
-    use dynmos_protest::FaultPlan;
-    use std::sync::Arc;
-
     let net = ripple_adder(80);
     let faults: Vec<FaultEntry> = stuck_fault_list(&net).into_iter().take(500).collect();
     let n = net.primary_inputs().len();
@@ -269,6 +321,56 @@ fn double_panicking_worker_surfaces_error_and_keeps_merged_coverage() {
     assert_eq!(run.outcome.detected_at, serial.detected_at);
     assert_eq!(run.outcome.patterns_applied, serial.patterns_applied);
     assert_eq!(run.outcome.coverage_curve, serial.coverage_curve);
+
+    // Monte Carlo on a smaller adder, two threads, 2048 samples per leg.
+    let net = ripple_adder(24);
+    let n = net.primary_inputs().len();
+    let probs: Vec<f64> = (0..n).map(|i| [0.9375, 0.5, 0.25][i % 3]).collect();
+    let par = Parallelism::Fixed(2);
+    let cap = || RunBudget::unlimited().with_max_patterns(2048);
+    let unlimited = RunBudget::unlimited();
+
+    // mc-detect: 24 faults feed both workers, so the fault axis is cut.
+    let faults: Vec<FaultEntry> = stuck_fault_list(&net).into_iter().take(24).collect();
+    let serial = mc_detection_probabilities_budgeted(
+        &net,
+        &faults,
+        &probs,
+        42,
+        9_999,
+        Parallelism::Serial,
+        &unlimited,
+    );
+    mc_worker_failure_keeps_merged_hits(
+        "mc-detect",
+        |from| match from {
+            None => {
+                mc_detection_probabilities_budgeted(&net, &faults, &probs, 42, 9_999, par, &cap())
+            }
+            Some(cp) => mc_detection_resume(&net, &faults, &probs, 42, par, &cap(), cp),
+        },
+        &serial.estimates,
+    );
+
+    // mc-signal: one target, so the pass axis is cut.
+    let po = net.primary_outputs()[0];
+    let serial = mc_signal_probability_budgeted(
+        &net,
+        po,
+        &probs,
+        99,
+        9_999,
+        Parallelism::Serial,
+        &unlimited,
+    );
+    mc_worker_failure_keeps_merged_hits(
+        "mc-signal",
+        |from| match from {
+            None => mc_signal_probability_budgeted(&net, po, &probs, 99, 9_999, par, &cap()),
+            Some(cp) => mc_signal_resume(&net, po, &probs, 99, par, &cap(), cp),
+        },
+        &serial.estimates,
+    );
 }
 
 /// The over-cap degradation rule through the public estimator: within

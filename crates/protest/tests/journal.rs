@@ -99,7 +99,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `FsimCheckpoint`: integers plus a detection vector mixing
-    /// `Some(pattern_index)` and `None`.
+    /// `Some(pattern_index)` and `None`. Raw draws are folded into the
+    /// states a run can reach (`from_json` refuses the rest): at most
+    /// `max_patterns.div_ceil(64)` batches, detections in
+    /// `1..=patterns_done`.
     #[test]
     fn fsim_checkpoint_roundtrips(
         start in 0u64..1 << 40,
@@ -108,10 +111,18 @@ proptest! {
         values in prop::collection::vec(0u64..1 << 30, 0..24),
         mask in 0u64..u64::MAX,
     ) {
+        let batches = batches % (maxp.div_ceil(64) + 1);
+        let patterns_done = (batches * 64).min(maxp);
         let detected: Vec<Json> = values
             .iter()
             .enumerate()
-            .map(|(i, &v)| if (mask >> (i % 64)) & 1 == 1 { Json::num(v) } else { Json::Null })
+            .map(|(i, &v)| {
+                if patterns_done > 0 && (mask >> (i % 64)) & 1 == 1 {
+                    Json::num(1 + v % patterns_done)
+                } else {
+                    Json::Null
+                }
+            })
             .collect();
         let j = Json::Obj(vec![
             ("kind".into(), Json::str("fsim")),
@@ -124,18 +135,22 @@ proptest! {
             .map_err(|e| e.to_string())?;
     }
 
-    /// `McCheckpoint`: pass counter, sample budget, per-fault hits.
+    /// `McCheckpoint`: pass counter, sample budget, per-fault hits,
+    /// folded into reachable states: at most `samples.div_ceil(256)`
+    /// passes, no hit count above the samples drawn.
     #[test]
     fn mc_checkpoint_roundtrips(
         passes in 0u64..1 << 30,
         samples in 0u64..1 << 40,
         hits in prop::collection::vec(0u64..1 << 40, 0..24),
     ) {
+        let passes = passes % (samples.div_ceil(256) + 1);
+        let drawn = (passes * 256).min(samples);
         let j = Json::Obj(vec![
             ("kind".into(), Json::str("mc")),
             ("passes_done".into(), Json::num(passes)),
             ("samples".into(), Json::num(samples)),
-            ("hits".into(), Json::Arr(hits.iter().map(|&h| Json::num(h)).collect())),
+            ("hits".into(), Json::Arr(hits.iter().map(|&h| Json::num(h % (drawn + 1))).collect())),
         ]);
         assert_json_roundtrip(&j, McCheckpoint::from_json, McCheckpoint::to_json)
             .map_err(|e| e.to_string())?;
@@ -538,4 +553,50 @@ fn mismatched_checkpoint_fails_instead_of_completing() {
         Some(false)
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A journaled checkpoint whose counts no run can reach — more hits
+/// than samples drawn, or a detection index past the patterns
+/// simulated — is refused when the journal is attached, instead of
+/// resuming into a detection probability above 1 or a detection at a
+/// pattern the run never applied.
+#[test]
+fn impossible_checkpoint_counts_are_refused_at_attach() {
+    let mut mc_request = fsim_request(0);
+    if let Json::Obj(members) = &mut mc_request {
+        members.retain(|(k, _)| k != "kind" && k != "patterns");
+        members.push(("kind".into(), Json::str("mc-detect")));
+        members.push(("samples".into(), Json::num(1024u64)));
+    }
+    let cases = [
+        (
+            mc_request,
+            "{\"kind\":\"mc\",\"passes_done\":0,\"samples\":1024,\"hits\":[5000,0]}",
+        ),
+        (
+            fsim_request(128),
+            "{\"kind\":\"fsim\",\"start\":0,\"batches_done\":1,\"max_patterns\":128,\
+             \"detected_at\":[999999,null]}",
+        ),
+    ];
+    for (i, (request, checkpoint)) in cases.into_iter().enumerate() {
+        let journal = format!(
+            "{{\"t\":\"open\",\"gen\":1}}\n\
+             {{\"t\":\"admit\",\"id\":1,\"request\":{request}}}\n\
+             {{\"t\":\"leg\",\"id\":1,\"legs\":1,\"retries\":0,\"snapshot\":\
+             {{\"started\":true,\"checkpoint\":{checkpoint}}}}}\n"
+        );
+        let dir = scratch(&format!("impossible-checkpoint-{i}"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(JOURNAL_FILE), journal).unwrap();
+        let mut engine = JobEngine::new(test_config());
+        let err = engine
+            .attach_journal(&dir)
+            .expect_err("impossible checkpoint must not restore");
+        assert!(
+            err.to_string().contains("snapshot does not restore"),
+            "{checkpoint}: {err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

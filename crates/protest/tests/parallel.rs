@@ -6,11 +6,19 @@
 use dynmos_netlist::generate::{array_multiplier, random_domino_network, ripple_adder};
 use dynmos_netlist::Network;
 use dynmos_protest::{
-    mc_detection_probabilities_par, mc_signal_probability_par, network_fault_list,
-    stuck_fault_list, FaultEntry, FaultSimulator, Parallelism, PatternSource,
+    mc_detection_probabilities, mc_detection_probabilities_budgeted, mc_signal_probability,
+    mc_signal_probability_budgeted, network_fault_list, stuck_fault_list, BudgetedEstimates,
+    Estimate, FaultEntry, FaultSimulator, Parallelism, PatternSource, RunBudget,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The estimates of a budgeted Monte Carlo run that must have completed
+/// (it ran under an unlimited budget).
+fn completed(run: BudgetedEstimates) -> Vec<Estimate> {
+    assert!(run.status.is_complete());
+    run.estimates
+}
 
 /// The circuits under differential test: random multi-level domino
 /// networks plus the large structured bipolar circuits.
@@ -165,7 +173,8 @@ fn few_fault_single_hard_fault_detection_index_is_stable() {
 }
 
 /// Few-fault Monte Carlo detection estimates cross the same planner:
-/// pass-axis hit counts must add back to the serial estimates exactly.
+/// pass-axis hit counts must add back exactly to the estimates of the
+/// plain entry point (which still honours `DYNMOS_BUDGET_MS`).
 #[test]
 fn few_fault_monte_carlo_is_bit_identical_to_serial() {
     let net = ripple_adder(24);
@@ -174,18 +183,18 @@ fn few_fault_monte_carlo_is_bit_identical_to_serial() {
     let probs: Vec<f64> = (0..n).map(|i| [0.9375, 0.5, 0.25][i % 3]).collect();
     for fault_count in [1usize, 2] {
         let faults: Vec<FaultEntry> = all.iter().take(fault_count).cloned().collect();
-        let serial =
-            mc_detection_probabilities_par(&net, &faults, &probs, 42, 9_999, Parallelism::Serial);
+        let plain = mc_detection_probabilities(&net, &faults, &probs, 42, 9_999);
         for threads in THREAD_COUNTS {
-            let est = mc_detection_probabilities_par(
+            let est = completed(mc_detection_probabilities_budgeted(
                 &net,
                 &faults,
                 &probs,
                 42,
                 9_999,
                 Parallelism::Fixed(threads),
-            );
-            assert_eq!(est, serial, "{fault_count} faults at {threads} threads");
+                &RunBudget::unlimited(),
+            ));
+            assert_eq!(est, plain, "{fault_count} faults at {threads} threads");
         }
     }
 }
@@ -213,21 +222,25 @@ fn parallel_monte_carlo_is_bit_identical_to_serial() {
         let probs: Vec<f64> = (0..n).map(|i| [0.9375, 0.5, 0.25][i % 3]).collect();
         // Keep the fault list small enough for quick estimation.
         let subset: Vec<FaultEntry> = faults.into_iter().take(24).collect();
-        let serial =
-            mc_detection_probabilities_par(&net, &subset, &probs, 99, 7_777, Parallelism::Serial);
+        let plain = mc_detection_probabilities(&net, &subset, &probs, 99, 7_777);
         let po = net.primary_outputs()[0];
-        let sig_serial =
-            mc_signal_probability_par(&net, po, &probs, 99, 7_777, Parallelism::Serial);
+        let sig_plain = mc_signal_probability(&net, po, &probs, 99, 7_777);
+        let unlimited = RunBudget::unlimited();
         for threads in THREAD_COUNTS {
             let par = Parallelism::Fixed(threads);
-            let est = mc_detection_probabilities_par(&net, &subset, &probs, 99, 7_777, par);
+            let est = completed(mc_detection_probabilities_budgeted(
+                &net, &subset, &probs, 99, 7_777, par, &unlimited,
+            ));
             assert_eq!(
-                est, serial,
+                est, plain,
                 "{name}: detection estimates at {threads} threads"
             );
-            let sig = mc_signal_probability_par(&net, po, &probs, 99, 7_777, par);
+            let sig = completed(mc_signal_probability_budgeted(
+                &net, po, &probs, 99, 7_777, par, &unlimited,
+            ));
             assert_eq!(
-                sig, sig_serial,
+                sig,
+                [sig_plain],
                 "{name}: signal estimate at {threads} threads"
             );
         }
