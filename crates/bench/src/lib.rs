@@ -5,7 +5,7 @@
 //! figures, one fault-class table, and quantified claims. Each `eN`
 //! module regenerates one of them and returns both structured data (for
 //! tests and benches) and a printable report. The `experiments` binary
-//! prints all of them; `EXPERIMENTS.md` records paper-vs-measured.
+//! prints all of them.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|

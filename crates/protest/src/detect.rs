@@ -8,14 +8,20 @@
 //! space **once per probability vector**, evaluating the good machine on
 //! the compiled tape and replaying each fault's fanout cone
 //! incrementally, so whole-list detection probabilities cost one
-//! enumeration instead of one per fault. The optimizer's coordinate
-//! sweeps reuse one detector (and its prepared faults) across hundreds of
-//! objective evaluations.
+//! enumeration instead of one per fault. The row space is walked in
+//! 4096-row blocks through the crate's one chunked, sharded,
+//! budget-checked stream walk (`parallel::StreamWalk`); every fault's
+//! total is its block partials added in ascending block order, so the
+//! f64 result is the same at any thread count, shard axis or chunking.
+//! The tiered [`crate::DetectionEngine`] holds one detector for its
+//! fault list, so the optimizer's coordinate sweeps reuse it (and its
+//! prepared faults) across hundreds of objective evaluations.
 
 use crate::budget::{RunBudget, StopReason};
 use crate::list::FaultEntry;
-use crate::parallel::{plan_shards, run_sharded, Parallelism, ShardPlan};
+use crate::parallel::{Parallelism, StreamWalk};
 use dynmos_netlist::{Network, NetworkFault, PackedEvaluator, PreparedFault};
+use std::ops::Range;
 
 /// How a [`DetectionEstimate`] was computed — the engine tier that
 /// served the fault (see [`crate::testability`] for the selection
@@ -132,9 +138,10 @@ pub fn detection_probabilities(net: &Network, faults: &[FaultEntry], pi_probs: &
     ExactDetector::new(net, faults).probabilities(pi_probs)
 }
 
-/// A reusable exact-enumeration engine: the network's compiled evaluator
-/// plus one [`PreparedFault`] per fault, shared across any number of
-/// probability vectors.
+/// A reusable exact-enumeration engine: one [`PreparedFault`] per fault,
+/// shared across any number of probability vectors. Each query walks the
+/// row space once through the crate's stream walk, with evaluators
+/// allocated per shard, so the detector itself holds no scratch state.
 ///
 /// # Example
 ///
@@ -152,32 +159,28 @@ pub fn detection_probabilities(net: &Network, faults: &[FaultEntry], pi_probs: &
 #[derive(Debug)]
 pub struct ExactDetector<'n> {
     net: &'n Network,
-    ev: PackedEvaluator<'n>,
     prepared: Vec<PreparedFault<'n>>,
     parallelism: Parallelism,
-    /// Scratch: packed PI words for the current batch.
-    pi_words: Vec<u64>,
-    /// Scratch: per-lane assignment weight.
-    weights: [f64; 64],
 }
 
 /// Enumeration becomes worth sharding once the per-worker setup (an
-/// evaluator allocation) is dwarfed by the row walk.
+/// evaluator allocation) is dwarfed by the row walk; smaller row spaces
+/// walk serially.
 const PARALLEL_ROWS_MIN: u64 = 1 << 12;
 
-/// Rows per accumulation block. Every path — serial, fault-sharded,
-/// row-sharded — folds weights into per-block partial sums and adds the
-/// blocks in ascending order, so the floating-point summation tree is a
-/// property of the workload, never of the thread count, and results stay
-/// bit-identical on either axis. 4096 rows (64 packed evaluations) per
-/// block keeps the partial vector small while giving a pattern-axis
-/// worker enough work to pay for its evaluator.
+/// Rows per accumulation block, the walk's unit. Every fault's total is
+/// its block partials (rows ascending within a block) added in ascending
+/// block order, whichever shard computed them, so the floating-point
+/// summation tree is a property of the workload, never of the thread
+/// count or axis. 4096 rows (64 packed evaluations) per block keeps the
+/// partials small while giving a pattern-axis worker enough work to pay
+/// for its evaluator.
 const ROW_BLOCK: u64 = 1 << 12;
 
-/// Blocks per budgeted chunk: [`ExactDetector::try_probabilities`]
-/// checks its [`RunBudget`] only between groups of this many row
-/// blocks (`16 * 4096 = 65536` rows), so check frequency is a property
-/// of the workload, never of the thread count.
+/// Blocks per budgeted chunk: a budgeted walk checks its [`RunBudget`]
+/// only between groups of this many row blocks (`16 * 4096 = 65536`
+/// rows), so check frequency is a property of the workload, never of
+/// the thread count.
 const CHUNK_BLOCKS: u64 = 16;
 
 impl<'n> ExactDetector<'n> {
@@ -193,9 +196,7 @@ impl<'n> ExactDetector<'n> {
     }
 
     /// Sets the thread policy for subsequent [`Self::probabilities`]
-    /// calls. The fault list is sharded over workers; every fault's
-    /// weight sum is accumulated in row order by one worker, so results
-    /// are bit-identical at any thread count.
+    /// calls. Results are bit-identical at any thread count.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.parallelism = parallelism;
     }
@@ -206,11 +207,8 @@ impl<'n> ExactDetector<'n> {
     ) -> Self {
         Self {
             net,
-            ev: PackedEvaluator::new(net),
             prepared: faults.map(|f| net.prepare_fault(f)).collect(),
             parallelism: Parallelism::default(),
-            pi_words: vec![0; net.primary_inputs().len()],
-            weights: [0.0; 64],
         }
     }
 
@@ -218,9 +216,9 @@ impl<'n> ExactDetector<'n> {
     /// per-input probabilities `pi_probs`, by one weighted exhaustive
     /// enumeration of the input space. When the row space is large
     /// enough to pay for worker threads, the enumeration is sharded
-    /// along the axis [`plan_shards`] picks: the fault list, or — in the
-    /// few-fault regime the optimizer's late objectives live in — the
-    /// row-block axis, merged by ascending-order block sums.
+    /// along the axis [`plan_shards`](crate::parallel::plan_shards)
+    /// picks: the fault list, or — in the few-fault regime the
+    /// optimizer's late objectives live in — the row-block axis.
     ///
     /// # Panics
     ///
@@ -229,29 +227,41 @@ impl<'n> ExactDetector<'n> {
     pub fn probabilities(&mut self, pi_probs: &[f64]) -> Vec<f64> {
         let n = self.net.primary_inputs().len();
         assert!(n <= 24, "exact enumeration over {n} inputs is infeasible");
-        assert_eq!(pi_probs.len(), n, "need one probability per primary input");
-        self.enumerate_all(pi_probs, 1u64 << n)
+        self.try_probabilities(pi_probs, &RunBudget::unlimited())
+            .expect("an unlimited walk within the row cap completes")
     }
 
     /// [`Self::probabilities`] under a [`RunBudget`]. A row space
     /// larger than [`RunBudget::effective_exact_rows`] is refused up
     /// front with [`StopReason::RowCap`] — no work is done, so callers
     /// can degrade to the symbolic tiers (see
-    /// [`detection_probability_estimates`]). A deadline, cancellation
-    /// flag, or pattern cap turns the enumeration into a chunked walk
-    /// checked every `CHUNK_BLOCKS` row blocks; block partials are
-    /// folded into the running totals in ascending block order, so a
-    /// completed budgeted run is bit-identical to [`Self::probabilities`]
-    /// at any thread count. Exact enumeration has no resumable
-    /// checkpoint — an interrupted walk returns the [`StopReason`] and
-    /// discards its partial sums (a prefix of the row space is not an
-    /// estimate of anything).
+    /// [`detection_probability_estimates`]). A deadline or cancellation
+    /// flag turns the enumeration into a chunked walk checked every
+    /// `CHUNK_BLOCKS` row blocks; the pattern cap does not apply. A
+    /// completed budgeted run is bit-identical to
+    /// [`Self::probabilities`] at any thread count. Exact enumeration
+    /// has no resumable checkpoint — an interrupted walk returns the
+    /// [`StopReason`] and discards its partial sums (a prefix of the row
+    /// space is not an estimate of anything).
     ///
     /// # Panics
     ///
-    /// Panics if the arity of `pi_probs` is wrong.
+    /// Panics if the arity of `pi_probs` is wrong, or with the
+    /// [`ShardError`](crate::ShardError) text if a shard fails twice.
     pub fn try_probabilities(
         &mut self,
+        pi_probs: &[f64],
+        run_budget: &RunBudget,
+    ) -> Result<Vec<f64>, StopReason> {
+        self.walk(0..self.prepared.len(), pi_probs, run_budget)
+    }
+
+    /// [`Self::try_probabilities`] for the faults `faults` of the
+    /// detector's list only — the entry point the tiered engine walks
+    /// its fault blocks through, so one detector serves every query.
+    pub(crate) fn walk(
+        &self,
+        faults: Range<usize>,
         pi_probs: &[f64],
         run_budget: &RunBudget,
     ) -> Result<Vec<f64>, StopReason> {
@@ -261,160 +271,49 @@ impl<'n> ExactDetector<'n> {
             Some(rows) if rows <= run_budget.effective_exact_rows() => rows,
             _ => return Err(StopReason::RowCap),
         };
-        if run_budget.is_unlimited() {
-            return Ok(self.enumerate_all(pi_probs, rows));
-        }
-        let blocks = rows.div_ceil(ROW_BLOCK);
-        let threads = self.parallelism.resolve();
-        let mut totals = vec![0.0f64; self.prepared.len()];
-        let mut next = 0u64;
-        while next < blocks {
-            let end = (next + CHUNK_BLOCKS).min(blocks);
-            let chunk_len = (end - next) as usize;
-            let shard = threads > 1 && rows >= PARALLEL_ROWS_MIN && chunk_len > 1;
-            let partials: Vec<Vec<f64>> = if shard {
-                let net = self.net;
-                let prepared = &self.prepared;
-                let base = next;
-                run_sharded(chunk_len, threads.min(chunk_len), |block_range| {
-                    let mut ev = PackedEvaluator::new(net);
-                    let mut pi_words = vec![0u64; n];
-                    let mut weights = [0.0f64; 64];
-                    let mut out = Vec::with_capacity(block_range.len());
-                    for rel in block_range {
-                        let b = base + rel as u64;
-                        let mut block = vec![0.0f64; prepared.len()];
-                        enumerate_block_into(
-                            prepared,
-                            pi_probs,
-                            b * ROW_BLOCK..((b + 1) * ROW_BLOCK).min(rows),
-                            &mut ev,
-                            &mut pi_words,
-                            &mut weights,
-                            &mut block,
-                        );
-                        out.push(block);
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                let mut out = Vec::with_capacity(chunk_len);
-                for b in next..end {
-                    let mut block = vec![0.0f64; self.prepared.len()];
-                    enumerate_block_into(
-                        &self.prepared,
-                        pi_probs,
-                        b * ROW_BLOCK..((b + 1) * ROW_BLOCK).min(rows),
-                        &mut self.ev,
-                        &mut self.pi_words,
-                        &mut self.weights,
-                        &mut block,
-                    );
-                    out.push(block);
-                }
-                out
-            };
-            // Ascending-order fold into the running totals: the same
-            // summation tree as `fold_blocks`, so neither chunking nor
-            // sharding is visible in the result.
-            for block in partials {
-                for (t, p) in totals.iter_mut().zip(&block) {
-                    *t += p; // dynlint: ordered -- blocks fold in ascending block index; within a block, ascending fault index
-                }
-            }
-            next = end;
-            if next < blocks {
-                if let Some(reason) = run_budget.stop_requested() {
-                    return Err(reason);
-                }
-            }
-        }
-        for t in &mut totals {
-            *t = t.clamp(0.0, 1.0);
-        }
-        Ok(totals)
-    }
-
-    /// The unbudgeted whole-space enumeration behind
-    /// [`Self::probabilities`]: sharded along the planner's axis, with
-    /// every merge reproducing the ascending-block-order fold.
-    fn enumerate_all(&mut self, pi_probs: &[f64], rows: u64) -> Vec<f64> {
-        let n = self.net.primary_inputs().len();
-        let blocks = rows.div_ceil(ROW_BLOCK);
-        let plan = plan_shards(self.prepared.len(), blocks, self.parallelism.resolve());
-        let mut totals = if plan.is_serial() || rows < PARALLEL_ROWS_MIN {
-            fold_blocks(
-                &self.prepared,
-                pi_probs,
-                rows,
-                &mut self.ev,
-                &mut self.pi_words,
-                &mut self.weights,
-            )
-        } else {
-            let net = self.net;
-            let prepared = &self.prepared;
-            match plan {
-                ShardPlan::Faults(workers) => run_sharded(prepared.len(), workers, |range| {
-                    let mut ev = PackedEvaluator::new(net);
-                    let mut pi_words = vec![0u64; n];
-                    let mut weights = [0.0f64; 64];
-                    fold_blocks(
-                        &prepared[range],
-                        pi_probs,
-                        rows,
-                        &mut ev,
-                        &mut pi_words,
-                        &mut weights,
-                    )
-                })
-                .into_iter()
-                .flatten()
-                .collect(),
-                ShardPlan::Patterns(workers) => {
-                    // Each worker returns its blocks' partials untouched;
-                    // the merge folds them in ascending block order —
-                    // the same summation tree every other path uses.
-                    let shards = run_sharded(blocks as usize, workers, |block_range| {
-                        let mut ev = PackedEvaluator::new(net);
-                        let mut pi_words = vec![0u64; n];
-                        let mut weights = [0.0f64; 64];
-                        let mut partials = Vec::with_capacity(block_range.len());
-                        for b in block_range {
-                            let b = b as u64;
-                            let mut block = vec![0.0f64; prepared.len()];
-                            enumerate_block_into(
-                                prepared,
-                                pi_probs,
-                                b * ROW_BLOCK..((b + 1) * ROW_BLOCK).min(rows),
-                                &mut ev,
-                                &mut pi_words,
-                                &mut weights,
-                                &mut block,
-                            );
-                            partials.push(block);
-                        }
-                        partials
-                    });
-                    let mut totals = vec![0.0f64; prepared.len()];
-                    for block in shards.into_iter().flatten() {
-                        for (t, p) in totals.iter_mut().zip(&block) {
-                            *t += p; // dynlint: ordered -- shard results return in shard-index order (run_sharded), blocks within a shard in ascending order
-                        }
-                    }
-                    totals
-                }
-            }
+        let prepared = &self.prepared[faults];
+        // No checkpoint exists, so a pattern cap could only cut walks
+        // that never finish.
+        let budget = RunBudget {
+            max_patterns: None,
+            ..run_budget.clone()
         };
+        let mut totals = vec![0.0f64; prepared.len()];
+        let end = StreamWalk {
+            done: 0,
+            total: rows.div_ceil(ROW_BLOCK),
+            chunk: CHUNK_BLOCKS,
+            unit_patterns: ROW_BLOCK,
+            threads: if rows < PARALLEL_ROWS_MIN {
+                1
+            } else {
+                self.parallelism.resolve()
+            },
+            budget: &budget,
+        }
+        .run(
+            &mut totals,
+            |totals| (0..totals.len()).collect(),
+            |targets, blocks| block_partials(self.net, prepared, targets, pi_probs, rows, blocks),
+            |total, (head, tail)| {
+                *total += head; // dynlint: ordered -- StreamWalk merges shards in shard order and chunks in walk order; partials arrive in ascending block order
+                for p in tail {
+                    *total += p; // dynlint: ordered -- ascending block order within the span
+                }
+            },
+        );
+        if let Some(e) = end.error {
+            panic!("{e}");
+        }
+        if let Some(reason) = end.stop {
+            return Err(reason);
+        }
         // Summing 2^n weights accumulates ulp-scale error; clamp to [0,1]
         // so downstream validation (test_length) never sees 1.0 + epsilon.
         for t in &mut totals {
             *t = t.clamp(0.0, 1.0);
         }
-        totals
+        Ok(totals)
     }
 }
 
@@ -441,61 +340,51 @@ pub fn detection_probability_estimates(
     run_budget: &RunBudget,
 ) -> Result<Vec<DetectionEstimate>, StopReason> {
     let config = crate::testability::TestabilityConfig::from_env().with_seed(seed);
-    detection_probability_estimates_with(net, faults, pi_probs, parallelism, run_budget, &config)
-}
-
-/// [`detection_probability_estimates`] with an explicit engine
-/// configuration — the entry point for callers (and tests) that must pin
-/// a tier regardless of `DYNMOS_TESTABILITY`.
-pub fn detection_probability_estimates_with(
-    net: &Network,
-    faults: &[FaultEntry],
-    pi_probs: &[f64],
-    parallelism: Parallelism,
-    run_budget: &RunBudget,
-    config: &crate::testability::TestabilityConfig,
-) -> Result<Vec<DetectionEstimate>, StopReason> {
-    let n = net.primary_inputs().len();
-    assert_eq!(pi_probs.len(), n, "need one probability per primary input");
-    if faults.is_empty() {
-        return Ok(Vec::new());
-    }
-    crate::testability::DetectionEngine::new(net, faults, config.clone())
+    crate::testability::DetectionEngine::new(net, faults, config)
         .with_parallelism(parallelism)
         .estimates(pi_probs, run_budget)
 }
 
-/// The whole-row-space fold the serial path and every fault-axis worker
-/// share: per-block partials ([`enumerate_block_into`]) added in
-/// ascending block order. Keeping this in one place is what pins the
-/// floating-point summation tree — the determinism contract rests on
-/// the pattern-axis merge reproducing exactly this fold.
-fn fold_blocks(
+/// The span of the exact walk: each listed fault's block partials over
+/// `blocks`, in ascending block order, as `(head, tail)` — the first
+/// block's partial and the rest. A range starting at block 0 pre-folds
+/// every partial into `head` (the running total it merges into is still
+/// +0.0, and `0.0 + x == x` exactly), so a whole-space span stores one
+/// partial per fault and allocates none.
+fn block_partials(
+    net: &Network,
     prepared: &[PreparedFault<'_>],
+    targets: &[usize],
     pi_probs: &[f64],
     rows: u64,
-    ev: &mut PackedEvaluator<'_>,
-    pi_words: &mut [u64],
-    weights: &mut [f64; 64],
-) -> Vec<f64> {
-    let blocks = rows.div_ceil(ROW_BLOCK);
-    let mut totals = vec![0.0f64; prepared.len()];
-    let mut block = vec![0.0f64; prepared.len()];
-    for b in 0..blocks {
+    blocks: Range<u64>,
+) -> Vec<(f64, Vec<f64>)> {
+    let faults: Vec<&PreparedFault<'_>> = targets.iter().map(|&t| &prepared[t]).collect();
+    let start = blocks.start;
+    let mut out = vec![(0.0f64, Vec::new()); faults.len()];
+    let mut ev = PackedEvaluator::new(net);
+    let mut pi_words = vec![0u64; pi_probs.len()];
+    let mut weights = [0.0f64; 64];
+    let mut block = vec![0.0f64; faults.len()];
+    for b in blocks {
         enumerate_block_into(
-            prepared,
+            &faults,
             pi_probs,
             b * ROW_BLOCK..((b + 1) * ROW_BLOCK).min(rows),
-            ev,
-            pi_words,
-            weights,
+            &mut ev,
+            &mut pi_words,
+            &mut weights,
             &mut block,
         );
-        for (t, p) in totals.iter_mut().zip(&block) {
-            *t += p; // dynlint: ordered -- serial reference fold: ascending block index, then ascending fault index
+        for ((head, tail), &p) in out.iter_mut().zip(&block) {
+            if b == start || start == 0 {
+                *head += p; // dynlint: ordered -- ascending block order from the span's first block
+            } else {
+                tail.push(p);
+            }
         }
     }
-    totals
+    out
 }
 
 /// The weighted row walk of one block, `out[fi]` reset and accumulated
@@ -503,9 +392,9 @@ fn fold_blocks(
 /// is a pure function of the block's row range, so the result does not
 /// depend on which worker (or axis) computed it.
 fn enumerate_block_into(
-    prepared: &[PreparedFault<'_>],
+    prepared: &[&PreparedFault<'_>],
     pi_probs: &[f64],
-    row_range: std::ops::Range<u64>,
+    row_range: Range<u64>,
     ev: &mut PackedEvaluator<'_>,
     pi_words: &mut [u64],
     weights: &mut [f64; 64],
@@ -553,6 +442,7 @@ fn enumerate_block_into(
 mod tests {
     use super::*;
     use crate::list::network_fault_list;
+    use crate::testability::{DetectionEngine, TestabilityConfig, TierMode};
     use dynmos_logic::Bexpr;
     use dynmos_netlist::generate::{and_or_tree, domino_wide_and, fig9_cell, single_cell_network};
     use dynmos_netlist::{NetId, NetworkFault};
@@ -679,6 +569,109 @@ mod tests {
         assert!((p[0] - 0.5f64.powi(13)).abs() < 1e-15, "p={}", p[0]);
     }
 
+    /// The test-local oracle for the exact walk: each detecting row's
+    /// weight added in ascending row order within each `ROW_BLOCK`-row
+    /// block, the block sums added in ascending block order. Only the
+    /// packed evaluator is shared with the walk.
+    fn reference_fold(net: &Network, faults: &[FaultEntry], probs: &[f64]) -> Vec<f64> {
+        let rows = 1u64 << probs.len();
+        let prepared: Vec<_> = faults.iter().map(|e| net.prepare_fault(&e.fault)).collect();
+        let mut ev = PackedEvaluator::new(net);
+        let mut totals = vec![0.0f64; faults.len()];
+        for block in (0..rows).step_by(ROW_BLOCK as usize) {
+            let mut sums = vec![0.0f64; faults.len()];
+            for row0 in (block..(block + ROW_BLOCK).min(rows)).step_by(64) {
+                let lanes: Vec<u64> = (row0..(row0 + 64).min(rows)).collect();
+                let weight = |row: u64| {
+                    let bit = |i: usize| row >> i & 1 == 1;
+                    (0..probs.len()).fold(1.0, |w, i| {
+                        w * if bit(i) { probs[i] } else { 1.0 - probs[i] }
+                    })
+                };
+                let weights: Vec<f64> = lanes.iter().map(|&r| weight(r)).collect();
+                let pi: Vec<u64> = (0..probs.len())
+                    .map(|i| {
+                        (0..lanes.len())
+                            .filter(|&l| lanes[l] >> i & 1 == 1)
+                            .fold(0, |w, l| w | 1 << l)
+                    })
+                    .collect();
+                ev.eval(&pi);
+                for (sum, fault) in sums.iter_mut().zip(&prepared) {
+                    let differ = ev.fault_diff64(fault);
+                    for (l, w) in weights.iter().enumerate() {
+                        if differ >> l & 1 == 1 {
+                            *sum += w;
+                        }
+                    }
+                }
+            }
+            for (total, sum) in totals.iter_mut().zip(&sums) {
+                *total += sum;
+            }
+        }
+        totals.iter().map(|t| t.clamp(0.0, 1.0)).collect()
+    }
+
+    #[test]
+    fn few_fault_and_full_list_exact_walk_matches_reference_fold() {
+        // (carry-chain bits, fault index, f64 bits) captured from the
+        // enumeration before it ran through the stream walk.
+        const GOLDEN: [(usize, usize, u64); 6] = [
+            (2, 1, 0x3fd50e5604189373),
+            (2, 25, 0x3fe44dd2f1a9fbe7),
+            (6, 1, 0x3fd50e560418936e),
+            (6, 73, 0x3fe1bd99a87f87cc),
+            (8, 1, 0x3fd50e560418937b),
+            (8, 97, 0x3fe5319af76946b3),
+        ];
+        let far = RunBudget::deadline_in(std::time::Duration::from_secs(3600));
+        let budgets = [
+            RunBudget::unlimited(),
+            far,
+            RunBudget::unlimited().with_max_patterns(256),
+        ];
+        // 5, 13 and 17 inputs: 1, 2 and 32 row blocks.
+        for bits in [2usize, 6, 8] {
+            let net = dynmos_netlist::generate::carry_chain(bits);
+            let faults = network_fault_list(&net);
+            let n = net.primary_inputs().len();
+            let probs: Vec<f64> = (0..n).map(|i| 0.3 + 0.05 * (i % 7) as f64).collect();
+            let oracle = reference_fold(&net, &faults, &probs);
+            let last = faults.len() - 1;
+            let mut det = ExactDetector::new(&net, &faults);
+            for range in [last..last + 1, 0..2, 0..faults.len()] {
+                for threads in 1..=4 {
+                    det.set_parallelism(Parallelism::Fixed(threads));
+                    for budget in &budgets {
+                        let got = det.walk(range.clone(), &probs, budget).expect("completes");
+                        let ctx = format!("n={n} faults={range:?} threads={threads} {budget:?}");
+                        for (k, value) in got.iter().enumerate() {
+                            let i = range.start + k;
+                            assert_eq!(value.to_bits(), oracle[i].to_bits(), "{ctx} fault {i}");
+                            for &(_, _, golden) in GOLDEN.iter().filter(|g| (g.0, g.1) == (bits, i))
+                            {
+                                assert_eq!(value.to_bits(), golden, "{ctx} fault {i} golden");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault-shard worker panicked twice")]
+    fn twice_failing_enumeration_shard_panics_with_shard_error() {
+        let net = single_cell_network(domino_wide_and(13));
+        let list = network_fault_list(&net);
+        let mut det = ExactDetector::new(&net, &list);
+        det.set_parallelism(Parallelism::Fixed(2));
+        let plan =
+            std::sync::Arc::new(crate::chaos::FaultPlan::new(3).worker_panic_persistent(1.0));
+        crate::chaos::scoped(plan, || det.probabilities(&[0.5; 13]));
+    }
+
     #[test]
     #[should_panic(expected = "infeasible")]
     fn too_many_inputs_panics() {
@@ -746,15 +739,10 @@ mod tests {
         let exact = detection_probabilities(&net, &list, &probs);
         // Pinned Auto config: the test asserts the exact tier even when
         // the suite runs under a DYNMOS_TESTABILITY override.
-        let est = detection_probability_estimates_with(
-            &net,
-            &list,
-            &probs,
-            Parallelism::Serial,
-            &RunBudget::unlimited(),
-            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
-        )
-        .expect("completes");
+        let est = DetectionEngine::new(&net, &list, TestabilityConfig::new(TierMode::Auto))
+            .with_parallelism(Parallelism::Serial)
+            .estimates(&probs, &RunBudget::unlimited())
+            .expect("completes");
         assert_eq!(est.len(), exact.len());
         for (e, x) in est.iter().zip(&exact) {
             assert_eq!(e.method, EstimateMethod::Exact);
@@ -772,15 +760,10 @@ mod tests {
         let net = and_or_tree(5);
         let list: Vec<_> = network_fault_list(&net).into_iter().take(4).collect();
         let probs = vec![0.5; 32];
-        let est = detection_probability_estimates_with(
-            &net,
-            &list,
-            &probs,
-            Parallelism::Serial,
-            &RunBudget::unlimited().with_max_exact_rows(1 << 12),
-            &crate::testability::TestabilityConfig::new(crate::testability::TierMode::Auto),
-        )
-        .expect("completes");
+        let est = DetectionEngine::new(&net, &list, TestabilityConfig::new(TierMode::Auto))
+            .with_parallelism(Parallelism::Serial)
+            .estimates(&probs, &RunBudget::unlimited().with_max_exact_rows(1 << 12))
+            .expect("completes");
         assert_eq!(est.len(), list.len());
         for (e, entry) in est.iter().zip(&list) {
             assert_eq!(e.method, EstimateMethod::Bdd, "{}", entry.label);

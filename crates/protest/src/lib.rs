@@ -59,8 +59,8 @@ pub mod testability;
 pub use budget::{env_budget_ms, RunBudget, RunStatus, StopReason, DEFAULT_EXACT_ROWS};
 pub use chaos::{env_fault_plan, CrashPoint, FaultPlan, LegFault, WorkerFault};
 pub use detect::{
-    detection_probabilities, detection_probability_estimates, detection_probability_estimates_with,
-    exact_detection_probability, DetectionEstimate, EstimateMethod, ExactDetector,
+    detection_probabilities, detection_probability_estimates, exact_detection_probability,
+    DetectionEstimate, EstimateMethod, ExactDetector,
 };
 pub use env_contract::EnvError;
 pub use estimate::{exact_signal_probability, signal_probabilities};

@@ -23,7 +23,7 @@ use crate::detect::EstimateMethod;
 use crate::length::{test_length_budgeted, LengthError};
 use crate::list::FaultEntry;
 use crate::parallel::Parallelism;
-use crate::testability::{DetectionEngine, TestabilityConfig, TierMode};
+use crate::testability::{DetectionEngine, TestabilityConfig};
 use dynmos_netlist::Network;
 
 /// Fixed seed for the sampling parts of the objective (cutting-tier
@@ -71,8 +71,8 @@ const GRID: [f64; 15] = [
 /// improvement (or
 /// `max_sweeps` is reached).
 ///
-/// Networks beyond the exact-enumeration input limit (24) use the
-/// deterministic Monte-Carlo fallback objective instead of panicking.
+/// Networks beyond the exact-enumeration row cap run the objective on
+/// the symbolic tiers of [`DetectionEngine`] instead of panicking.
 ///
 /// # Panics
 ///
@@ -109,7 +109,7 @@ pub fn optimize_input_probabilities(
 
 /// An optimization outcome under a [`RunBudget`]: the (possibly
 /// partial) report, whether the descent completed, and which engine
-/// tier(s) served the objective.
+/// tier served each fault of the objective.
 #[derive(Debug, Clone)]
 pub struct OptimizeRun {
     /// Best probabilities and lengths seen before the stop. When the
@@ -119,11 +119,6 @@ pub struct OptimizeRun {
     /// [`RunStatus::Completed`], or the [`StopReason`] that ended the
     /// descent early.
     pub status: RunStatus,
-    /// The weakest tier that served any fault — [`EstimateMethod::Exact`]
-    /// only when every fault ran exact, [`EstimateMethod::Cutting`] as
-    /// soon as one fault fell back to certified bounds. See `methods`
-    /// for the per-fault tags.
-    pub method: EstimateMethod,
     /// Per-fault engine tiers of the objective, in fault-list order.
     /// Empty only when the run was interrupted before the first
     /// objective evaluation finished.
@@ -280,7 +275,6 @@ pub fn optimize_input_probabilities_with(
             }
         }
     }
-    let method = summary_method(&methods, config, n, run_budget);
     OptimizeRun {
         report: OptimizeReport {
             probabilities: probs,
@@ -289,41 +283,15 @@ pub fn optimize_input_probabilities_with(
             sweeps,
         },
         status,
-        method,
         methods,
     }
-}
-
-/// The weakest tier among `methods` (Exact < Bdd < MonteCarlo <
-/// Cutting, by strength of guarantee). When no evaluation finished,
-/// falls back to the tier the engine would have planned.
-fn summary_method(
-    methods: &[EstimateMethod],
-    config: &TestabilityConfig,
-    inputs: usize,
-    run_budget: &RunBudget,
-) -> EstimateMethod {
-    if methods.is_empty() {
-        let rows_fit = inputs < 64 && (1u64 << inputs) <= run_budget.effective_exact_rows();
-        return match config.mode {
-            TierMode::Auto | TierMode::Exact if rows_fit => EstimateMethod::Exact,
-            TierMode::Cutting => EstimateMethod::Cutting,
-            _ => EstimateMethod::Bdd,
-        };
-    }
-    let rank = |m: &EstimateMethod| match m {
-        EstimateMethod::Exact => 0,
-        EstimateMethod::Bdd => 1,
-        EstimateMethod::MonteCarlo => 2,
-        EstimateMethod::Cutting => 3,
-    };
-    *methods.iter().max_by_key(|m| rank(m)).expect("non-empty")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::list::network_fault_list;
+    use crate::testability::TierMode;
     use dynmos_netlist::generate::{and_or_tree, domino_wide_and, fig9_cell, single_cell_network};
 
     #[test]
@@ -412,7 +380,7 @@ mod tests {
             &auto,
         );
         assert!(run.status.is_complete());
-        assert_eq!(run.method, EstimateMethod::Exact);
+        assert_eq!(run.methods.len(), faults.len());
         assert!(run.methods.iter().all(|&m| m == EstimateMethod::Exact));
         assert_eq!(run.report.probabilities, reference.report.probabilities);
         assert_eq!(run.report.uniform_length, reference.report.uniform_length);
@@ -440,7 +408,6 @@ mod tests {
             &TestabilityConfig::new(TierMode::Auto),
         );
         assert!(run.status.is_complete());
-        assert_eq!(run.method, EstimateMethod::Bdd);
         assert_eq!(run.methods.len(), faults.len());
         assert!(run.methods.iter().all(|&m| m == EstimateMethod::Bdd));
         assert!(run.report.optimized_length <= run.report.uniform_length);

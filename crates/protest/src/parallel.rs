@@ -73,17 +73,21 @@
 //!    loop under an always-expired budget (`DYNMOS_BUDGET_MS=0`) still
 //!    terminates.
 //!
-//! For the stream kernels — fault simulation and both Monte Carlo
-//! estimators — these rules run in one place: the crate-private
-//! `StreamWalk`. It cuts the stream into chunks (one chunk under an
-//! unlimited budget), asks the kernel for the targets still live,
-//! shards each chunk with [`plan_shards`] and [`try_run_sharded`],
-//! merges the shard results into the per-target state element by
-//! element (minimum detection index, integer hit sum), and checks the
-//! pattern cap and the budget between chunks only. Exact enumeration
-//! and PODEM keep their own walks: the enumeration's f64 block fold is
-//! order-sensitive, and PODEM's unit of work is a fault, not a stream
-//! chunk.
+//! These rules run in one place: the crate-private `StreamWalk`, behind
+//! fault simulation, both Monte Carlo estimators and exact enumeration.
+//! It cuts the unit axis (stream batches, wide passes, row blocks) into
+//! chunks (one chunk under an unlimited budget), asks the kernel for the
+//! targets still live, shards each chunk with [`plan_shards`] and
+//! [`try_run_sharded`], merges the shard results into the per-target
+//! state, and checks the pattern cap and the budget between chunks only.
+//! Shards merge in shard order and chunks in walk order, so even the
+//! enumeration's f64 block fold is a property of the workload: each span
+//! reports its row blocks' partials in ascending order, and the merge
+//! adds them to the running total one by one. A span whose range starts
+//! at block 0 may pre-fold its partials into one, because the total it
+//! merges into is still +0.0 and `0.0 + x == x` exactly; that keeps the
+//! unlimited fault axis at one partial per fault. Only PODEM keeps its
+//! own loop: its unit of work is a fault, not a stream chunk.
 //!
 //! **Exact → symbolic degradation rule:** exact enumeration refuses a
 //! row space larger than [`crate::RunBudget::effective_exact_rows`] up
@@ -417,9 +421,10 @@ where
     try_run_sharded(n, threads, worker).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The position and limits of one call's walk over a counter-based
-/// stream: units (fsim stream batches, Monte Carlo wide passes)
-/// `done..total`, cut into `chunk`-unit chunks under a limited budget.
+/// The position and limits of one call's walk over a unit axis: units
+/// (fsim stream batches, Monte Carlo wide passes, enumeration row
+/// blocks) `done..total`, cut into `chunk`-unit chunks under a limited
+/// budget.
 pub(crate) struct StreamWalk<'b> {
     /// Units already merged (the checkpoint position).
     pub(crate) done: u64,
@@ -456,19 +461,22 @@ impl StreamWalk<'_> {
     /// budget); [`plan_shards`] cuts (targets × units) along one axis;
     /// `span(targets, units)` returns one value per listed target over
     /// a unit range; and `merge` folds each value into its target's
-    /// slot. `merge` must be order-independent (minimum, integer add),
-    /// so the axis, the thread count and the chunking never show in
-    /// `acc`. The per-call pattern cap and the budget are checked only
+    /// slot. Shards merge in shard order and chunks in walk order, so
+    /// every target sees its unit ranges merged in ascending order on
+    /// either axis and at any thread count or chunking: an
+    /// order-independent `merge` (minimum, integer add) or an ordered
+    /// fold of per-unit partials (f64 block sums) leaves the same `acc`.
+    /// The per-call pattern cap and the budget are checked only
     /// between chunks and only after one has merged (forward progress).
     /// A shard that fails twice discards its chunk whole and stops the
     /// walk with [`StopReason::WorkerFailed`] at the last merged
     /// boundary.
-    pub(crate) fn run<T: Send>(
+    pub(crate) fn run<T, S: Send>(
         self,
         acc: &mut [T],
         live: impl Fn(&[T]) -> Vec<usize>,
-        span: impl Fn(&[usize], Range<u64>) -> Vec<T> + Sync,
-        merge: impl Fn(&mut T, T),
+        span: impl Fn(&[usize], Range<u64>) -> Vec<S> + Sync,
+        merge: impl Fn(&mut T, S),
     ) -> WalkEnd {
         let chunk = if self.budget.is_unlimited() {
             self.total.max(1)

@@ -13,7 +13,7 @@
 //! testability kernel commits per fault) and merely
 //! idempotent-restarted for the rest.
 
-use crate::budget::{RunBudget, RunStatus};
+use crate::budget::{RunBudget, RunStatus, DEFAULT_EXACT_ROWS};
 use crate::detect::{detection_probability_estimates, DetectionEstimate, EstimateMethod};
 use crate::fsim::{FaultSimulator, FsimCheckpoint, FsimOutcome};
 use crate::length::{test_length_budgeted, LengthError};
@@ -261,14 +261,18 @@ pub fn param_probs(params: &Json, n: usize, default: f64) -> Result<Vec<f64>, St
             }
             items
                 .iter()
-                .map(|v| match v.as_f64() {
-                    Some(p) if (0.0..=1.0).contains(&p) => Ok(p),
-                    _ => Err(format!("probs entry {v} is not a probability")),
+                .map(|v| {
+                    probability(v).ok_or_else(|| format!("probs entry {v} is not a probability"))
                 })
                 .collect()
         }
         Some(other) => Err(format!("probs must be an array, got {other}")),
     }
+}
+
+/// A JSON number in `[0, 1]`.
+fn probability(v: &Json) -> Option<f64> {
+    v.as_f64().filter(|p| (0.0..=1.0).contains(p))
 }
 
 fn estimate_fields(e: &Estimate) -> [(String, Json); 3] {
@@ -522,13 +526,27 @@ impl DetectEstimatesJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`.
+    /// Returns a message for invalid `probs`, or for a `max_exact_rows`
+    /// that is not an integer in `0..=DEFAULT_EXACT_ROWS`: a larger cap
+    /// would let the unbudgeted first fault of the exact tier outrun
+    /// the job's deadline.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
+        let max_exact_rows = ctx
+            .params
+            .get("max_exact_rows")
+            .map(|v| {
+                v.as_u64()
+                    .filter(|&rows| rows <= DEFAULT_EXACT_ROWS)
+                    .ok_or_else(|| {
+                        format!("\"max_exact_rows\" must be an integer in 0..={DEFAULT_EXACT_ROWS}, got {v}")
+                    })
+            })
+            .transpose()?;
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
             seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            max_exact_rows: ctx.params.get("max_exact_rows").and_then(Json::as_u64),
+            max_exact_rows,
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
@@ -728,16 +746,20 @@ impl JobKernel for TestLengthJob {
     fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
         self.values = match snapshot.get("values") {
             None | Some(Json::Null) => None,
-            Some(Json::Arr(items)) => Some(
+            Some(Json::Arr(items)) if items.len() == self.faults.len() => Some(
                 items
                     .iter()
                     .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| format!("length snapshot: bad value {v}"))
+                        probability(v).ok_or_else(|| format!("length snapshot: bad value {v}"))
                     })
                     .collect::<Result<Vec<_>, _>>()?,
             ),
-            Some(other) => return Err(format!("length snapshot: bad values {other}")),
+            Some(other) => {
+                return Err(format!(
+                    "length snapshot: values must hold one probability per fault ({}), got {other}",
+                    self.faults.len()
+                ))
+            }
         };
         Ok(())
     }
@@ -849,15 +871,20 @@ impl JobKernel for OptimizeJob {
         if matches!(snapshot, Json::Null) {
             return Ok(());
         }
+        let inputs = self.net.primary_inputs().len();
         let probabilities = match snapshot.get("probabilities") {
-            Some(Json::Arr(items)) => items
+            Some(Json::Arr(items)) if items.len() == inputs => items
                 .iter()
                 .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| format!("optimize snapshot: bad probability {v}"))
+                    probability(v).ok_or_else(|| format!("optimize snapshot: bad probability {v}"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            other => return Err(format!("optimize snapshot: bad probabilities {other:?}")),
+            other => {
+                return Err(format!(
+                    "optimize snapshot: probabilities must hold one per input ({inputs}), \
+                     got {other:?}"
+                ))
+            }
         };
         let length = |key: &str| -> Result<u64, String> {
             match snapshot.get(key) {
@@ -871,7 +898,13 @@ impl JobKernel for OptimizeJob {
             .get("sweeps")
             .and_then(Json::as_u64)
             .ok_or_else(|| "optimize snapshot: missing sweeps".to_owned())?;
-        self.methods = match snapshot.get("methods") {
+        if sweeps > self.max_sweeps as u64 {
+            return Err(format!(
+                "optimize snapshot: {sweeps} sweeps exceed max_sweeps {}",
+                self.max_sweeps
+            ));
+        }
+        let methods = match snapshot.get("methods") {
             None | Some(Json::Null) => Vec::new(),
             Some(Json::Arr(items)) => items
                 .iter()
@@ -883,6 +916,14 @@ impl JobKernel for OptimizeJob {
                 .collect::<Result<Vec<_>, _>>()?,
             Some(other) => return Err(format!("optimize snapshot: bad methods {other}")),
         };
+        if !methods.is_empty() && methods.len() != self.faults.len() {
+            return Err(format!(
+                "optimize snapshot: {} methods for {} faults",
+                methods.len(),
+                self.faults.len()
+            ));
+        }
+        self.methods = methods;
         self.report = Some(OptimizeReport {
             probabilities,
             uniform_length: length("uniform_length")?,
@@ -1077,4 +1118,94 @@ pub fn build_builtin(
         "testability" => boxed(TestabilityJob::from_request(ctx)),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::list::network_fault_list;
+    use dynmos_netlist::generate::single_cell_network;
+    use dynmos_netlist::parse_cell;
+
+    /// A Fig.-9-style domino cell, `a*b*c + d*e`: 5 inputs, 19 faults.
+    fn kernel(kind: &str, params: &str) -> Box<dyn JobKernel> {
+        let cell = parse_cell(
+            "abc_de",
+            "TECHNOLOGY domino-CMOS; INPUT a,b,c,d,e; OUTPUT u; u := a*b*c + d*e;",
+        )
+        .expect("cell parses");
+        let net = Arc::new(single_cell_network(cell));
+        let faults = network_fault_list(&net);
+        assert_eq!(faults.len(), 19);
+        let params = Json::parse(params).expect("params parse");
+        build_builtin(
+            kind,
+            JobContext {
+                net,
+                faults,
+                parallelism: Parallelism::Serial,
+                params: &params,
+            },
+        )
+        .expect("built in")
+        .expect("request is valid")
+    }
+
+    fn restores(kernel: &mut dyn JobKernel, snapshot: &str) -> bool {
+        kernel
+            .restore(&Json::parse(snapshot).expect("snapshot parses"))
+            .is_ok()
+    }
+
+    #[test]
+    fn length_restore_refuses_impossible_values() {
+        let mut k = kernel("length", "{}");
+        let nineteen =
+            |v: &str| format!(r#"{{"values":[{}]}}"#, vec!["0.5"; 18].join(",") + "," + v);
+        assert!(restores(k.as_mut(), r#"{"values":null}"#));
+        assert!(restores(k.as_mut(), &nineteen("0.25")));
+        for bad in [
+            r#"{"values":[0.5]}"#.to_owned(),
+            r#"{"values":[]}"#.to_owned(),
+            nineteen("1.5"),
+            nineteen("-0.1"),
+            nineteen("0.5,0.5"),
+        ] {
+            assert!(!restores(k.as_mut(), &bad), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn length_job_completes_from_a_restored_full_snapshot() {
+        let mut clean = kernel("length", "{}");
+        assert!(clean.run_leg(&RunBudget::unlimited()).is_complete());
+        let mut restored = kernel("length", "{}");
+        let snapshot = Json::parse(&clean.snapshot().to_string()).expect("round trip");
+        restored.restore(&snapshot).expect("own snapshot restores");
+        assert!(restored.run_leg(&RunBudget::unlimited()).is_complete());
+        assert_eq!(restored.output().to_string(), clean.output().to_string());
+    }
+
+    #[test]
+    fn optimize_restore_refuses_impossible_shapes() {
+        let mut k = kernel("optimize", r#"{"max_sweeps":2}"#);
+        let snap = |probs: &str, methods: &str, sweeps: u64| {
+            format!(
+                r#"{{"probabilities":[{probs}],"uniform_length":94,"optimized_length":40,"sweeps":{sweeps},"methods":[{methods}],"complete":true}}"#
+            )
+        };
+        let five = "0.5,0.5,0.5,0.5,0.5";
+        let all_exact = vec![r#""exact""#; 19].join(",");
+        assert!(restores(k.as_mut(), &snap(five, &all_exact, 2)));
+        assert!(restores(k.as_mut(), &snap(five, "", 0)));
+        for bad in [
+            snap("7.0", &all_exact, 1),
+            snap("0.5,0.5,0.5,0.5,7.0", &all_exact, 1),
+            snap("0.5,0.5,0.5,0.5", &all_exact, 1),
+            snap(five, r#""exact""#, 1),
+            snap(five, &all_exact, 3),
+        ] {
+            assert!(!restores(k.as_mut(), &bad), "accepted {bad}");
+        }
+    }
 }

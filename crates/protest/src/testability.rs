@@ -228,8 +228,10 @@ struct SymbolicState {
     supports: Option<Vec<Vec<u64>>>,
 }
 
-enum Resolved {
-    Exact,
+enum Resolved<'n> {
+    /// One detector for the engine's whole fault list, walked in fault
+    /// blocks by every query.
+    Exact(ExactDetector<'n>),
     Symbolic(Box<SymbolicState>),
 }
 
@@ -244,7 +246,7 @@ pub struct DetectionEngine<'n> {
     faults: Vec<FaultEntry>,
     config: TestabilityConfig,
     parallelism: Parallelism,
-    resolved: Option<Resolved>,
+    resolved: Option<Resolved<'n>>,
 }
 
 impl<'n> DetectionEngine<'n> {
@@ -312,7 +314,7 @@ impl<'n> DetectionEngine<'n> {
         }
         self.ensure_resolved(budget);
         match self.resolved.as_ref().expect("resolved above") {
-            Resolved::Exact => self.run_exact(start, pi_probs, budget, sink),
+            Resolved::Exact(det) => self.run_exact(det, start, pi_probs, budget, sink),
             Resolved::Symbolic(_) => self.run_symbolic(start, pi_probs, budget, sink),
         }
     }
@@ -330,7 +332,9 @@ impl<'n> DetectionEngine<'n> {
             TierMode::Bdd | TierMode::Cutting => false,
         };
         if use_exact {
-            self.resolved = Some(Resolved::Exact);
+            let mut det = ExactDetector::new(self.net, &self.faults);
+            det.set_parallelism(self.parallelism);
+            self.resolved = Some(Resolved::Exact(det));
             return;
         }
         self.resolved = Some(Resolved::Symbolic(Box::new(self.build_symbolic())));
@@ -386,41 +390,31 @@ impl<'n> DetectionEngine<'n> {
         }
     }
 
-    /// Exact tier: per-block enumeration so interrupts land on fault
-    /// boundaries. The first block of every call is a single fault run
-    /// without a deadline — the forward-progress guarantee.
+    /// Exact tier: the engine's one detector walks fault blocks so
+    /// interrupts land on fault boundaries. The first fault of every call
+    /// runs without a deadline — the forward-progress guarantee.
     fn run_exact(
         &self,
+        det: &ExactDetector<'_>,
         start: usize,
         pi_probs: &[f64],
         budget: &RunBudget,
         sink: &mut dyn FnMut(usize, DetectionEstimate),
     ) -> RunStatus {
         let total = self.faults.len();
+        let progress_budget =
+            RunBudget::unlimited().with_max_exact_rows(budget.effective_exact_rows());
         let mut i = start;
-        let mut first = true;
         while i < total {
+            let first = i == start;
             if !first {
                 if let Some(reason) = budget.stop_requested() {
                     return RunStatus::Interrupted(reason);
                 }
             }
             let block = if first { 1 } else { EXACT_BLOCK.min(total - i) };
-            let nf: Vec<NetworkFault> = self.faults[i..i + block]
-                .iter()
-                .map(|e| e.fault.clone())
-                .collect();
-            let mut det = ExactDetector::for_faults(self.net, &nf);
-            det.set_parallelism(self.parallelism);
-            let progress_budget;
-            let leg_budget = if first {
-                progress_budget =
-                    RunBudget::unlimited().with_max_exact_rows(budget.effective_exact_rows());
-                &progress_budget
-            } else {
-                budget
-            };
-            match det.try_probabilities(pi_probs, leg_budget) {
+            let leg_budget = if first { &progress_budget } else { budget };
+            match det.walk(i..i + block, pi_probs, leg_budget) {
                 Ok(values) => {
                     for (k, value) in values.into_iter().enumerate() {
                         sink(
@@ -437,7 +431,6 @@ impl<'n> DetectionEngine<'n> {
                 Err(reason) => return RunStatus::Interrupted(reason),
             }
             i += block;
-            first = false;
         }
         RunStatus::Completed
     }

@@ -7,11 +7,11 @@
 
 use dynmos_netlist::generate::ripple_adder;
 use dynmos_protest::{
-    chaos, detection_probability_estimates_with, mc_detection_probabilities,
-    mc_detection_probabilities_budgeted, mc_detection_resume, mc_signal_probability,
-    mc_signal_probability_budgeted, mc_signal_resume, stuck_fault_list, BudgetedEstimates,
-    Estimate, EstimateMethod, FaultEntry, FaultPlan, FaultSimulator, McCheckpoint, Parallelism,
-    PatternSource, RunBudget, RunStatus, StopReason, TestabilityConfig, TierMode,
+    chaos, mc_detection_probabilities, mc_detection_probabilities_budgeted, mc_detection_resume,
+    mc_signal_probability, mc_signal_probability_budgeted, mc_signal_resume, stuck_fault_list,
+    BudgetedEstimates, DetectionEngine, Estimate, EstimateMethod, FaultEntry, FaultPlan,
+    FaultSimulator, McCheckpoint, Parallelism, PatternSource, RunBudget, RunStatus, StopReason,
+    TestabilityConfig, TierMode,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -384,14 +384,13 @@ fn estimator_degrades_exactly_at_the_row_cap() {
     let faults: Vec<FaultEntry> = stuck_fault_list(&net).into_iter().take(8).collect();
     let n = net.primary_inputs().len();
     let probs = vec![0.5f64; n];
-    let est = detection_probability_estimates_with(
+    let est = DetectionEngine::new(
         &net,
         &faults,
-        &probs,
-        Parallelism::Fixed(2),
-        &RunBudget::unlimited().with_max_exact_rows(1 << 12),
-        &TestabilityConfig::new(TierMode::Auto).with_seed(0xBEEF),
+        TestabilityConfig::new(TierMode::Auto).with_seed(0xBEEF),
     )
+    .with_parallelism(Parallelism::Fixed(2))
+    .estimates(&probs, &RunBudget::unlimited().with_max_exact_rows(1 << 12))
     .expect("completes");
     assert!(est.iter().all(|e| e.method == EstimateMethod::Bdd));
     assert!(est.iter().all(|e| e.std_error == 0.0));

@@ -325,6 +325,43 @@ fn mistyped_timeout_and_fault_limit_are_rejected() {
     assert_eq!(engine.pending(), 2, "only the well-typed requests queue");
 }
 
+/// A `detect` request's `max_exact_rows` must be an integer no larger
+/// than the documented feasibility limit: a mistyped value would be
+/// silently ignored, and a huge one would let the exact tier's
+/// unbudgeted first fault outrun `timeout_ms`.
+#[test]
+fn mistyped_or_oversized_max_exact_rows_is_rejected() {
+    let mut engine = JobEngine::new(test_config());
+    let bench = Json::str(ripple_adder_bench_text(2));
+    let request =
+        |rows: &str| format!(r#"{{"kind":"detect","netlist":{bench},"max_exact_rows":{rows}}}"#);
+    for bad in [
+        r#""4096""#,
+        "1e15",
+        "1099511627776",
+        "16777217",
+        "-1",
+        "1.5",
+        "null",
+    ] {
+        let verdict = engine.submit_json(&Json::parse(&request(bad)).unwrap());
+        assert_eq!(
+            verdict.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "max_exact_rows={bad} admitted: {verdict}"
+        );
+        let error = verdict.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains("max_exact_rows"),
+            "error {error:?} does not name the key"
+        );
+    }
+    for good in ["0", "4096", "16777216"] {
+        submit_ok(&mut engine, &request(good));
+    }
+    assert_eq!(engine.pending(), 3, "only the valid caps queue");
+}
+
 /// Backoff delays are deterministic, exponential up to the cap, and
 /// jittered within [0.5, 1.5) of the nominal delay.
 #[test]

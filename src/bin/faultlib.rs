@@ -53,8 +53,8 @@ use std::process::ExitCode;
 /// budget: the printed output is a valid partial result, not an error.
 const EXIT_PARTIAL: u8 = 3;
 
-/// Seed for the Monte-Carlo fallback when the cell's input space
-/// exceeds the exact-enumeration cap.
+/// Seed of the cutting tier's Monte Carlo tightening, used only for
+/// faults whose BDD overflows the node budget.
 const MC_SEED: u64 = 0x00DA_C086;
 
 /// The machine-readable token for an interruption reason.
