@@ -12,7 +12,7 @@ use dynmos_netlist::Network;
 use dynmos_protest::budget::RunBudget;
 use dynmos_protest::list::FaultEntry;
 use dynmos_protest::parallel::Parallelism;
-use dynmos_protest::service::jobs::param_u64;
+use dynmos_protest::service::jobs::optional_u64;
 use dynmos_protest::service::{
     Checkpointed, JobContext, JobEngine, JobKernel, Json, Leg, Resumable,
 };
@@ -42,7 +42,8 @@ impl Resumable for Atpg {
     /// Request: `max_backtracks`.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
-            max_backtracks: param_u64(ctx.params, "max_backtracks", DEFAULT_BACKTRACKS),
+            max_backtracks: optional_u64(ctx.params, "max_backtracks")?
+                .unwrap_or(DEFAULT_BACKTRACKS),
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,

@@ -30,18 +30,30 @@
 //! position `p`. Each slot holds `width` consecutive `u64` words, so one
 //! pass evaluates `width × 64` patterns (64 for the common `width = 1`).
 //!
-//! # Fault cones
+//! # Fault cones and event-driven replay
 //!
 //! For serial-fault simulation the faulty machine differs from the good
 //! machine only in the transitive fanout cone of the fault site. At build
 //! time this module precomputes, for every gate, the topological
 //! positions of its fanout cone and the primary outputs the cone reaches;
-//! and for every net, the same data for the net's *readers* (the cone
-//! that matters when the net itself is forced, since the driver's own
-//! computation is overridden). [`PackedEvaluator::fault_diff64`] then
-//! copies nothing but the fault site, replays only the cone's tape
-//! slices, compares only the reachable outputs, and restores the touched
-//! slots — `O(cone)` per fault instead of `O(network)`.
+//! for every net, the same data for the net's *readers* (the cone that
+//! matters when the net itself is forced, since the driver's own
+//! computation is overridden); and the readers themselves, as words of a
+//! bitset over topological positions.
+//!
+//! The static cone is only an upper bound on the work: under weighted
+//! patterns a fault effect usually dies within a few gates. So
+//! [`PackedEvaluator::fault_diff64`] replays event-driven, the
+//! differential idea of concurrent fault simulators (PROOFS, Niermann,
+//! Cheng & Patel, DAC'90). It forces the fault site and, if the site
+//! differs from the good machine on some lane, marks the site's readers
+//! in a bitset over topological positions. It then pops marked positions
+//! in ascending order, replays each one's tape slice, and marks a gate's
+//! readers only when its output differs from the good machine on some
+//! lane. Readers always sit at higher positions, so one forward sweep
+//! settles the faulty machine. Only the differing slots are compared
+//! against the outputs and copied back. A replay therefore costs the
+//! gates the effect reaches, not the whole cone.
 
 use crate::network::{GateInstance, GateRef, NetId, Network, NetworkFault};
 use dynmos_logic::{Bexpr, VarId};
@@ -258,6 +270,16 @@ pub struct CompiledNetwork {
     net_cone: Vec<Box<[u32]>>,
     /// Per net: primary-output indices affected when the net is forced.
     net_cone_pos: Vec<Box<[u32]>>,
+    /// Readers of net `n` as words of a bitset over topological
+    /// positions: `fanout[fanout_start[n]..fanout_start[n + 1]]` holds one
+    /// `(block, bits)` per 64-position block with a reader, ascending.
+    fanout_start: Vec<u32>,
+    fanout: Vec<(u32, u64)>,
+    /// Per topological position: the `fanout` range of the gate's output
+    /// net, so the replay's sweep reaches it in one lookup.
+    output_fanout: Vec<(u32, u32)>,
+    /// Per net: whether it is a primary output.
+    is_output: Vec<bool>,
     /// Primary-output net slots in declaration order.
     po_slots: Vec<u32>,
     /// Primary-input net slots in declaration order.
@@ -402,6 +424,28 @@ impl CompiledNetwork {
             net_cone_pos.push(pos_of_cone(&cone, Some(net)));
             net_cone.push(cone);
         }
+        let mut fanout_start = Vec::with_capacity(net_count + 1);
+        let mut fanout: Vec<(u32, u64)> = Vec::new();
+        for list in &readers {
+            fanout_start.push(fanout.len() as u32);
+            let first = fanout.len();
+            for &r in list {
+                let (block, bit) = (r / 64, 1u64 << (r % 64));
+                match fanout[first..].last_mut() {
+                    Some((b, bits)) if *b == block => *bits |= bit,
+                    _ => fanout.push((block, bit)),
+                }
+            }
+        }
+        fanout_start.push(fanout.len() as u32);
+        let output_fanout = gate_output
+            .iter()
+            .map(|&o| (fanout_start[o as usize], fanout_start[o as usize + 1]))
+            .collect();
+        let mut is_output = vec![false; net_count];
+        for po in primary_outputs {
+            is_output[po.index()] = true;
+        }
 
         Self {
             net_count: net_count as u32,
@@ -414,6 +458,10 @@ impl CompiledNetwork {
             gate_cone_pos,
             net_cone,
             net_cone_pos,
+            fanout_start,
+            fanout,
+            output_fanout,
+            is_output,
             po_slots: primary_outputs.iter().map(|n| n.index() as u32).collect(),
             pi_slots: primary_inputs.iter().map(|n| n.index() as u32).collect(),
         }
@@ -438,6 +486,20 @@ impl CompiledNetwork {
     /// Primary-output indices reachable from gate `g`.
     pub fn reachable_outputs(&self, g: GateRef) -> &[u32] {
         &self.gate_cone_pos[g.index()]
+    }
+
+    /// The readers of net slot `slot` as `(block, bits)` bitset words,
+    /// ascending by block.
+    fn net_fanout(&self, slot: u32) -> &[(u32, u64)] {
+        let s = slot as usize;
+        &self.fanout[self.fanout_start[s] as usize..self.fanout_start[s + 1] as usize]
+    }
+
+    /// [`Self::net_fanout`] of the output of the gate at topological
+    /// position `p`.
+    fn output_fanout(&self, p: usize) -> &[(u32, u64)] {
+        let (lo, up) = self.output_fanout[p];
+        &self.fanout[lo as usize..up as usize]
     }
 
     /// Binds `fault` to its precomputed cone and, for gate-function
@@ -492,7 +554,7 @@ impl CompiledNetwork {
 
 #[derive(Debug, Clone)]
 enum PreparedKind {
-    /// Force a net slot to a constant and replay its reader cone.
+    /// Force a net slot to a constant and replay the readers it reaches.
     Stuck { slot: u32, value: bool },
     /// Replace the tape slice of the gate at topological position `pos`.
     GateFn {
@@ -515,7 +577,9 @@ pub struct PreparedFault<'n> {
 }
 
 impl PreparedFault<'_> {
-    /// Number of gates re-evaluated per batch for this fault.
+    /// Number of gates in this fault's static cone: an upper bound on
+    /// the gates a replay re-evaluates. A replay runs only the gates the
+    /// fault effect reaches on the batch at hand, often far fewer.
     pub fn cone_size(&self) -> usize {
         self.cone.len()
     }
@@ -527,7 +591,7 @@ impl PreparedFault<'_> {
     }
 
     /// The topological positions (ascending indices into
-    /// [`Network::topo_order`]) of the gates this fault's cone replays —
+    /// [`Network::topo_order`]) of the gates in this fault's static cone —
     /// the same cone a symbolic engine must rebuild with the fault
     /// injected.
     pub fn cone_positions(&self) -> &[u32] {
@@ -575,6 +639,11 @@ pub struct PackedEvaluator<'n> {
     faulty: Vec<u64>,
     /// Whether `faulty`'s net slots currently mirror `good`.
     synced: bool,
+    /// Gate positions awaiting replay, one bit each; all zero between
+    /// replays.
+    pending: Vec<u64>,
+    /// Net slots where `faulty` differs from `good` after a replay.
+    touched: Vec<u32>,
 }
 
 impl<'n> PackedEvaluator<'n> {
@@ -598,6 +667,8 @@ impl<'n> PackedEvaluator<'n> {
             good: vec![0; slots],
             faulty: vec![0; slots],
             synced: false,
+            pending: vec![0; bitset_blocks(net.compiled().gate_slice.len())],
+            touched: Vec::new(),
         }
     }
 
@@ -649,20 +720,49 @@ impl<'n> PackedEvaluator<'n> {
         if !self.synced {
             let nets = self.net.compiled().net_count as usize * self.width;
             self.faulty[..nets].copy_from_slice(&self.good[..nets]);
+            self.touched.clear();
             self.synced = true;
         }
     }
 
+    /// If net `slot` of the faulty machine differs from the good machine
+    /// on some lane word, lists it as touched and marks its readers
+    /// pending, those in bitset block `block` in `word` instead. Returns
+    /// the block just past the last reader marked, or 0 when none was.
+    fn spread(&mut self, fanout: &[(u32, u64)], slot: u32, block: usize, word: &mut u64) -> usize {
+        let (w, d) = (self.width, slot as usize * self.width);
+        let same = if w == 1 {
+            self.faulty[d] == self.good[d]
+        } else {
+            self.faulty[d..d + w] == self.good[d..d + w]
+        };
+        if same {
+            return 0;
+        }
+        self.touched.push(slot);
+        for &(b, bits) in fanout {
+            if b as usize == block {
+                *word |= bits;
+            } else {
+                self.pending[b as usize] |= bits;
+            }
+        }
+        fanout.last().map_or(0, |&(b, _)| b as usize + 1)
+    }
+
+    /// Injects `fault` and replays, in ascending topological order, only
+    /// the gates with an input that differs from the good machine. On
+    /// return `touched` lists every net slot that differs.
     fn inject_and_replay(&mut self, fault: &PreparedFault<'_>) {
-        let c = self.net.compiled();
+        let net: &'n Network = self.net;
+        let c = net.compiled();
         let width = self.width;
         self.sync_faulty();
-        let mut fault_pos = u32::MAX;
-        let mut fault_tape: Option<&Tape> = None;
-        match &fault.kind {
+        let site = match &fault.kind {
             PreparedKind::Stuck { slot, value } => {
                 let d = *slot as usize * width;
                 self.faulty[d..d + width].fill(if *value { !0 } else { 0 });
+                *slot
             }
             PreparedKind::GateFn {
                 pos,
@@ -673,37 +773,52 @@ impl<'n> PackedEvaluator<'n> {
                 if self.faulty.len() < need {
                     self.faulty.resize(need, 0);
                 }
-                fault_pos = *pos;
-                fault_tape = Some(tape);
-            }
-        }
-        for &p in fault.cone {
-            if p == fault_pos {
-                let tape = fault_tape.expect("fault position implies a tape");
                 tape.execute(0..tape.op.len(), &mut self.faulty, width);
-            } else {
-                let (start, end) = c.gate_slice[p as usize];
+                c.gate_output[*pos as usize]
+            }
+        };
+        // A forced value equal to the good one leaves nothing to restore.
+        // No block is being swept yet, so every mark lands in `pending`.
+        let fanout = c.net_fanout(site);
+        let mut hi = self.spread(fanout, site, usize::MAX, &mut 0);
+        let mut block = fanout.first().map_or(0, |&(b, _)| b as usize);
+        while block < hi {
+            // The block being swept lives in a register: marks into it land
+            // there, so the next pop does not wait on a store.
+            let mut word = std::mem::take(&mut self.pending[block]);
+            while word != 0 {
+                let p = block * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let (start, end) = c.gate_slice[p];
                 c.tape
                     .execute(start as usize..end as usize, &mut self.faulty, width);
+                let out = c.gate_output[p];
+                hi = hi.max(self.spread(c.output_fanout(p), out, block, &mut word));
             }
+            block += 1;
         }
     }
 
-    fn restore(&mut self, fault: &PreparedFault<'_>) {
+    /// Copies the touched slots back from the good machine, first handing
+    /// `observe(w, good ^ faulty)` for each lane word `w` of every touched
+    /// primary output.
+    fn restore(&mut self, mut observe: impl FnMut(usize, u64)) {
         let c = self.net.compiled();
         let width = self.width;
-        if let PreparedKind::Stuck { slot, .. } = &fault.kind {
-            let d = *slot as usize * width;
+        for &slot in &self.touched {
+            let d = slot as usize * width;
+            if c.is_output[slot as usize] {
+                for w in 0..width {
+                    observe(w, self.good[d + w] ^ self.faulty[d + w]);
+                }
+            }
             self.faulty[d..d + width].copy_from_slice(&self.good[d..d + width]);
         }
-        for &p in fault.cone {
-            let d = c.gate_output[p as usize] as usize * width;
-            self.faulty[d..d + width].copy_from_slice(&self.good[d..d + width]);
-        }
+        self.touched.clear();
     }
 
-    /// Replays `fault`'s cone against the last evaluated batch and
-    /// returns, for each lane word, the OR over all primary outputs of
+    /// Replays `fault` against the last evaluated batch and returns, for
+    /// each lane word, the OR over all primary outputs of
     /// `good XOR faulty` — bit `k` set means pattern `k` detects the
     /// fault. `out.len()` must equal [`Self::width`].
     ///
@@ -713,16 +828,8 @@ impl<'n> PackedEvaluator<'n> {
     pub fn fault_diff(&mut self, fault: &PreparedFault<'_>, out: &mut [u64]) {
         assert_eq!(out.len(), self.width, "need one output word per lane word");
         self.inject_and_replay(fault);
-        let c = self.net.compiled();
-        let width = self.width;
         out.fill(0);
-        for &po in fault.outputs {
-            let d = c.po_slots[po as usize] as usize * width;
-            for (w, o) in out.iter_mut().enumerate() {
-                *o |= self.good[d + w] ^ self.faulty[d + w];
-            }
-        }
-        self.restore(fault);
+        self.restore(|w, x| out[w] |= x);
     }
 
     /// [`Self::fault_diff`] for the common `width == 1` evaluator.
@@ -733,20 +840,15 @@ impl<'n> PackedEvaluator<'n> {
     pub fn fault_diff64(&mut self, fault: &PreparedFault<'_>) -> u64 {
         assert_eq!(self.width, 1, "fault_diff64 requires a width-1 evaluator");
         self.inject_and_replay(fault);
-        let c = self.net.compiled();
         let mut differ = 0u64;
-        for &po in fault.outputs {
-            let d = c.po_slots[po as usize] as usize;
-            differ |= self.good[d] ^ self.faulty[d];
-        }
-        self.restore(fault);
+        self.restore(|_, x| differ |= x);
         differ
     }
 
-    /// Evaluates the faulty machine for *all* nets: replays the cone and
-    /// returns the full net-value slice (cone nets faulty, the rest equal
-    /// to the good machine — which is exactly what an unobservable net
-    /// is). The buffer is left dirty and re-synced on the next use.
+    /// Evaluates the faulty machine for *all* nets: replays `fault` and
+    /// returns the full net-value slice (nets the effect reaches faulty,
+    /// the rest equal to the good machine — which is exactly what they
+    /// are). The buffer is left dirty and re-synced on the next use.
     pub fn eval_faulty_all(&mut self, fault: &PreparedFault<'_>) -> &[u64] {
         self.inject_and_replay(fault);
         self.synced = false;
@@ -758,8 +860,7 @@ impl<'n> PackedEvaluator<'n> {
 mod tests {
     use super::*;
     use crate::generate::{
-        and_or_tree, c17_dynamic_nmos, domino_wide_and, fig9_cell, random_domino_network,
-        single_cell_network,
+        c17_dynamic_nmos, domino_wide_and, fig9_cell, random_domino_network, single_cell_network,
     };
     use crate::network::NetworkFault;
     use dynmos_logic::Bexpr;
@@ -797,16 +898,42 @@ mod tests {
             .collect()
     }
 
+    /// The lane shapes the event-driven replay must handle: dense hash
+    /// words; sparse words (the AND of four hash words, as under low
+    /// input weights, where fault effects die early); and the constant
+    /// all-zero and all-ones batches, where a forced value often equals
+    /// the good one on every lane.
+    fn lane_shapes(seed: u64, n: usize) -> [Vec<u64>; 4] {
+        let mut sparse = vec![!0u64; n];
+        for k in 0..4 {
+            let words = batch_for(seed.wrapping_mul(4).wrapping_add(k + 1000), n);
+            for (s, w) in sparse.iter_mut().zip(words) {
+                *s &= w;
+            }
+        }
+        [batch_for(seed, n), sparse, vec![0; n], vec![!0; n]]
+    }
+
+    /// The interpreter's OR over all primary outputs of `good ^ faulty`.
+    fn reference_diff(net: &Network, batch: &[u64], fault: &NetworkFault) -> u64 {
+        let good = net.eval_packed_all_reference(batch, None);
+        let bad = net.eval_packed_all_reference(batch, Some(fault));
+        net.primary_outputs()
+            .iter()
+            .fold(0, |acc, po| acc | (good[po.index()] ^ bad[po.index()]))
+    }
+
     #[test]
     fn compiled_good_eval_matches_reference() {
         for seed in 0..50 {
             let net = random_domino_network(seed, 4, 6);
             let n = net.primary_inputs().len();
-            let batch = batch_for(seed, n);
-            let reference = net.eval_packed_all_reference(&batch, None);
-            let mut ev = PackedEvaluator::new(&net);
-            let compiled = ev.eval(&batch);
-            assert_eq!(compiled, &reference[..], "seed {seed}");
+            for batch in lane_shapes(seed, n) {
+                let reference = net.eval_packed_all_reference(&batch, None);
+                let mut ev = PackedEvaluator::new(&net);
+                let compiled = ev.eval(&batch);
+                assert_eq!(compiled, &reference[..], "seed {seed}");
+            }
         }
     }
 
@@ -815,18 +942,19 @@ mod tests {
         for seed in 0..30 {
             let net = random_domino_network(seed, 4, 6);
             let n = net.primary_inputs().len();
-            let batch = batch_for(seed, n);
-            let mut ev = PackedEvaluator::new(&net);
-            ev.eval(&batch);
-            for fault in all_faults(&net) {
-                let reference = net.eval_packed_all_reference(&batch, Some(&fault));
-                let prepared = net.prepare_fault(&fault);
-                let faulty = ev.eval_faulty_all(&prepared).to_vec();
-                // Cone nets must match exactly; non-cone nets equal the
-                // good machine in both paths.
-                assert_eq!(faulty, reference, "seed {seed} fault {fault:?}");
-                // Buffer must resync for the next fault.
+            for batch in lane_shapes(seed, n) {
+                let mut ev = PackedEvaluator::new(&net);
                 ev.eval(&batch);
+                for fault in all_faults(&net) {
+                    let reference = net.eval_packed_all_reference(&batch, Some(&fault));
+                    let prepared = net.prepare_fault(&fault);
+                    let faulty = ev.eval_faulty_all(&prepared).to_vec();
+                    // Nets the effect reaches must match exactly; the rest
+                    // equal the good machine in both paths.
+                    assert_eq!(faulty, reference, "seed {seed} fault {fault:?}");
+                    // Buffer must resync for the next fault.
+                    ev.eval(&batch);
+                }
             }
         }
     }
@@ -836,65 +964,94 @@ mod tests {
         for seed in 0..30 {
             let net = random_domino_network(seed, 4, 6);
             let n = net.primary_inputs().len();
-            let batch = batch_for(seed.wrapping_add(77), n);
-            let good = net.eval_packed(&batch);
-            let mut ev = PackedEvaluator::new(&net);
-            ev.eval(&batch);
-            for fault in all_faults(&net) {
-                let bad = net.eval_packed_faulty(&batch, Some(&fault));
-                let expect = good
-                    .iter()
-                    .zip(&bad)
-                    .fold(0u64, |acc, (g, b)| acc | (g ^ b));
-                let prepared = net.prepare_fault(&fault);
-                let got = ev.fault_diff64(&prepared);
-                assert_eq!(got, expect, "seed {seed} fault {fault:?}");
+            for batch in lane_shapes(seed.wrapping_add(77), n) {
+                let mut ev = PackedEvaluator::new(&net);
+                ev.eval(&batch);
+                for fault in all_faults(&net) {
+                    let expect = reference_diff(&net, &batch, &fault);
+                    let prepared = net.prepare_fault(&fault);
+                    let got = ev.fault_diff64(&prepared);
+                    assert_eq!(got, expect, "seed {seed} fault {fault:?}");
+                }
             }
         }
     }
 
     #[test]
     fn repeated_diffs_are_stable() {
-        // The restore path must leave the faulty buffer consistent, so
-        // diffing the same and different faults repeatedly is idempotent.
-        let net = c17_dynamic_nmos();
-        let batch = batch_for(3, 5);
-        let mut ev = PackedEvaluator::new(&net);
-        ev.eval(&batch);
-        let faults = all_faults(&net);
-        let prepared: Vec<_> = faults.iter().map(|f| net.prepare_fault(f)).collect();
-        let first: Vec<u64> = prepared.iter().map(|p| ev.fault_diff64(p)).collect();
-        for _ in 0..3 {
-            let again: Vec<u64> = prepared.iter().map(|p| ev.fault_diff64(p)).collect();
-            assert_eq!(again, first);
+        // The restore path must leave the faulty buffer equal to the good
+        // machine: a touched slot left faulty leaks into the next replay.
+        // Interleave the three entry points so each follows each other.
+        for seed in 0..10 {
+            let net = random_domino_network(seed, 4, 6);
+            let n = net.primary_inputs().len();
+            let faults = all_faults(&net);
+            let prepared: Vec<_> = faults.iter().map(|f| net.prepare_fault(f)).collect();
+            for batch in lane_shapes(seed, n) {
+                let good = net.eval_packed_all_reference(&batch, None);
+                let faulty: Vec<_> = faults
+                    .iter()
+                    .map(|f| net.eval_packed_all_reference(&batch, Some(f)))
+                    .collect();
+                let diffs: Vec<u64> = faults
+                    .iter()
+                    .map(|f| reference_diff(&net, &batch, f))
+                    .collect();
+                let mut ev = PackedEvaluator::new(&net);
+                ev.eval(&batch);
+                for round in 0..4 {
+                    for (i, p) in prepared.iter().enumerate() {
+                        let ctx = format!("seed {seed} round {round} fault {:?}", faults[i]);
+                        match (i + round) % 4 {
+                            0 | 1 => assert_eq!(ev.fault_diff64(p), diffs[i], "{ctx}"),
+                            2 => assert_eq!(ev.eval_faulty_all(p), &faulty[i][..], "{ctx}"),
+                            _ => {
+                                assert_eq!(ev.eval(&batch), &good[..], "{ctx}");
+                                assert_eq!(ev.fault_diff64(p), diffs[i], "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn wide_lanes_match_repeated_narrow_batches() {
-        let net = and_or_tree(3);
-        let n = net.primary_inputs().len();
+        // Each lane word of the wide batch has its own density, rotated
+        // per seed, so a differs check that reads only one word of a slot
+        // misses effects that live in the others.
         let width = 4;
-        // Four 64-lane batches, input-major wide layout.
-        let narrow: Vec<Vec<u64>> = (0..width as u64).map(|w| batch_for(w + 9, n)).collect();
-        let mut wide = vec![0u64; n * width];
-        for (w, b) in narrow.iter().enumerate() {
-            for i in 0..n {
-                wide[i * width + w] = b[i];
+        for seed in 0..20 {
+            let net = random_domino_network(seed, 4, 6);
+            let n = net.primary_inputs().len();
+            let mut narrow = lane_shapes(seed, n);
+            narrow.rotate_left(seed as usize % width);
+            let mut wide = vec![0u64; n * width];
+            for (w, b) in narrow.iter().enumerate() {
+                for i in 0..n {
+                    wide[i * width + w] = b[i];
+                }
             }
-        }
-        let mut ev = PackedEvaluator::with_width(&net, width);
-        ev.eval(&wide);
-        let fault = NetworkFault::NetStuck(net.primary_inputs()[0], true);
-        let prepared = net.prepare_fault(&fault);
-        let mut diff = vec![0u64; width];
-        ev.fault_diff(&prepared, &mut diff);
-        let mut ev1 = PackedEvaluator::new(&net);
-        for (w, b) in narrow.iter().enumerate() {
-            ev1.eval(b);
-            assert_eq!(diff[w], ev1.fault_diff64(&prepared), "word {w}");
-            for po in 0..net.primary_outputs().len() {
-                assert_eq!(ev.po_word(po, w), ev1.po_word(po, 0), "word {w} po {po}");
+            let mut ev = PackedEvaluator::with_width(&net, width);
+            ev.eval(&wide);
+            let mut ev1 = PackedEvaluator::new(&net);
+            let mut diff = vec![0u64; width];
+            for fault in all_faults(&net) {
+                let prepared = net.prepare_fault(&fault);
+                ev.fault_diff(&prepared, &mut diff);
+                for (w, b) in narrow.iter().enumerate() {
+                    ev1.eval(b);
+                    let ctx = format!("seed {seed} fault {fault:?} word {w}");
+                    assert_eq!(diff[w], ev1.fault_diff64(&prepared), "{ctx}");
+                    assert_eq!(diff[w], reference_diff(&net, b, &fault), "{ctx}");
+                }
+            }
+            for (w, b) in narrow.iter().enumerate() {
+                ev1.eval(b);
+                for po in 0..net.primary_outputs().len() {
+                    assert_eq!(ev.po_word(po, w), ev1.po_word(po, 0), "word {w} po {po}");
+                }
             }
         }
     }

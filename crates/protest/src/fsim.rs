@@ -10,10 +10,12 @@
 //!
 //! The simulator is serial-fault, parallel-pattern: each 64-pattern batch
 //! is evaluated once for the fault-free machine on the network's compiled
-//! instruction tape, and each live fault is then replayed *incrementally*
-//! — only its fanout cone's tape slice, comparing only the primary
-//! outputs the cone reaches ([`dynmos_netlist::PackedEvaluator`]). Fault
-//! dropping removes detected faults from the live list.
+//! instruction tape, and each live fault is then replayed *event-driven*
+//! ([`dynmos_netlist::PackedEvaluator`]): only the gates its effect
+//! reaches on the batch at hand, a subset of its static fanout cone that
+//! under weighted patterns is usually a few gates, comparing only the
+//! primary outputs that came to differ. Fault dropping removes detected
+//! faults from the live list.
 //!
 //! On top of that, [`FaultSimulator::run_random`] shards work over
 //! threads along whichever axis the two-axis planner

@@ -18,7 +18,7 @@ use crate::chaos::{self, mix64, FaultPlan, LegFault};
 use crate::list::{network_fault_list, stuck_fault_list};
 use crate::parallel::{panic_message, Parallelism};
 use crate::service::cache::{NetlistFormat, NetworkCache};
-use crate::service::jobs::{build_builtin, JobContext, JobKernel};
+use crate::service::jobs::{build_builtin, optional_u64, JobContext, JobKernel};
 use crate::service::journal::Journal;
 use crate::service::json::Json;
 use std::collections::VecDeque;
@@ -31,18 +31,6 @@ use std::time::{Duration, Instant};
 /// Everything needed to enqueue a job built from a request: its kind
 /// name, the optional per-job deadline, and the kernel itself.
 type BuiltJob = (String, Option<Duration>, Box<dyn JobKernel>);
-
-/// Reads an optional request field that must be a non-negative
-/// integer when present — a mistyped value is refused, never ignored.
-fn optional_u64(request: &Json, key: &str) -> Result<Option<u64>, String> {
-    request
-        .get(key)
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("{key:?} must be a non-negative integer, got {v}"))
-        })
-        .transpose()
-}
 
 /// Exponential backoff with deterministic jitter: retry `k` sleeps
 /// `base·2^(k-1)` ms (capped at `cap_ms`), scaled by a jitter factor in

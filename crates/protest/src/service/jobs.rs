@@ -49,7 +49,7 @@ pub struct JobContext<'a> {
     /// The engine's thread policy.
     pub parallelism: Parallelism,
     /// The raw request object — kernels read their parameters from it
-    /// (see [`param_u64`] and friends).
+    /// (see [`optional_u64`] and friends).
     pub params: &'a Json,
 }
 
@@ -231,14 +231,44 @@ impl<K: Resumable> JobKernel for Checkpointed<K> {
     }
 }
 
-/// Reads an unsigned-integer parameter with a default.
+/// Reads an unsigned-integer parameter with a default, treating a
+/// mistyped value as absent. Kernels refuse mistyped values instead,
+/// through [`optional_u64`].
 pub fn param_u64(params: &Json, key: &str, default: u64) -> u64 {
     params.get(key).and_then(Json::as_u64).unwrap_or(default)
 }
 
-/// Reads a float parameter with a default.
-pub fn param_f64(params: &Json, key: &str, default: f64) -> f64 {
-    params.get(key).and_then(Json::as_f64).unwrap_or(default)
+/// Reads an optional parameter that must be a non-negative integer when
+/// present — a mistyped value is refused, never ignored.
+///
+/// # Errors
+///
+/// Returns a message naming `key` when the value is present but not a
+/// non-negative integer.
+pub fn optional_u64(params: &Json, key: &str) -> Result<Option<u64>, String> {
+    params
+        .get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{key:?} must be a non-negative integer, got {v}"))
+        })
+        .transpose()
+}
+
+/// [`optional_u64`] for a parameter that must be a number.
+///
+/// # Errors
+///
+/// Returns a message naming `key` when the value is present but not a
+/// number.
+pub fn optional_f64(params: &Json, key: &str) -> Result<Option<f64>, String> {
+    params
+        .get(key)
+        .map(|v| {
+            v.as_f64()
+                .ok_or_else(|| format!("{key:?} must be a number, got {v}"))
+        })
+        .transpose()
 }
 
 /// Reads a per-input probability vector: the request's `probs` array
@@ -304,8 +334,8 @@ impl Resumable for Fsim {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            max_patterns: param_u64(ctx.params, "patterns", DEFAULT_WORK),
+            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
+            max_patterns: optional_u64(ctx.params, "patterns")?.unwrap_or(DEFAULT_WORK),
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
@@ -377,8 +407,10 @@ impl Resumable for McDetect {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            samples: param_u64(ctx.params, "samples", DEFAULT_WORK).max(1),
+            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
+            samples: optional_u64(ctx.params, "samples")?
+                .unwrap_or(DEFAULT_WORK)
+                .max(1),
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
@@ -452,7 +484,7 @@ impl Resumable for McSignal {
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         let outputs = ctx.net.primary_outputs().len();
-        let output_index = param_u64(ctx.params, "output", 0) as usize;
+        let output_index = optional_u64(ctx.params, "output")?.unwrap_or(0) as usize;
         if output_index >= outputs {
             return Err(format!(
                 "output index {output_index} out of range (network has {outputs} outputs)"
@@ -460,8 +492,10 @@ impl Resumable for McSignal {
         }
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            samples: param_u64(ctx.params, "samples", DEFAULT_WORK).max(1),
+            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
+            samples: optional_u64(ctx.params, "samples")?
+                .unwrap_or(DEFAULT_WORK)
+                .max(1),
             output_index,
             net: ctx.net,
             parallelism: ctx.parallelism,
@@ -526,26 +560,22 @@ impl DetectEstimatesJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`, or for a `max_exact_rows`
-    /// that is not an integer in `0..=DEFAULT_EXACT_ROWS`: a larger cap
+    /// Returns a message for invalid `probs`, a mistyped `seed`, or a
+    /// `max_exact_rows` that is not an integer in
+    /// `0..=DEFAULT_EXACT_ROWS`: a larger cap
     /// would let the unbudgeted first fault of the exact tier outrun
     /// the job's deadline.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
-        let max_exact_rows = ctx
-            .params
-            .get("max_exact_rows")
-            .map(|v| {
-                v.as_u64()
-                    .filter(|&rows| rows <= DEFAULT_EXACT_ROWS)
-                    .ok_or_else(|| {
-                        format!("\"max_exact_rows\" must be an integer in 0..={DEFAULT_EXACT_ROWS}, got {v}")
-                    })
-            })
-            .transpose()?;
+        let max_exact_rows = optional_u64(ctx.params, "max_exact_rows")?;
+        if let Some(rows) = max_exact_rows.filter(|&rows| rows > DEFAULT_EXACT_ROWS) {
+            return Err(format!(
+                "\"max_exact_rows\" must be at most {DEFAULT_EXACT_ROWS}, got {rows}"
+            ));
+        }
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
+            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
             max_exact_rows,
             net: ctx.net,
             faults: ctx.faults,
@@ -648,13 +678,14 @@ impl TestLengthJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`.
+    /// Returns a message for invalid `probs` or a mistyped `confidence`
+    /// or `seed`.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         Ok(Self {
             probs: param_probs(ctx.params, n, 0.5)?,
-            seed: param_u64(ctx.params, "seed", DEFAULT_SEED),
-            confidence: param_f64(ctx.params, "confidence", DEFAULT_CONFIDENCE),
+            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
+            confidence: optional_f64(ctx.params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE),
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
@@ -786,12 +817,11 @@ impl OptimizeJob {
     ///
     /// # Errors
     ///
-    /// Currently infallible; the `Result` keeps the factory signature
-    /// uniform.
+    /// Returns a message for a mistyped `confidence` or `max_sweeps`.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         Ok(Self {
-            confidence: param_f64(ctx.params, "confidence", DEFAULT_CONFIDENCE),
-            max_sweeps: param_u64(ctx.params, "max_sweeps", 2) as usize,
+            confidence: optional_f64(ctx.params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE),
+            max_sweeps: optional_u64(ctx.params, "max_sweeps")?.unwrap_or(2) as usize,
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
@@ -962,18 +992,19 @@ impl TestabilityJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs` or an unknown `mode`.
+    /// Returns a message for invalid `probs`, an unknown `mode`, or a
+    /// mistyped `seed`, `node_budget` or `tighten_samples`.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
-        let mut config =
-            TestabilityConfig::from_env().with_seed(param_u64(ctx.params, "seed", DEFAULT_SEED));
+        let mut config = TestabilityConfig::from_env()
+            .with_seed(optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED));
         if let Some(token) = ctx.params.get("mode").and_then(Json::as_str) {
             config = config.with_mode(TierMode::parse(token)?);
         }
-        if let Some(nodes) = ctx.params.get("node_budget").and_then(Json::as_u64) {
+        if let Some(nodes) = optional_u64(ctx.params, "node_budget")? {
             config = config.with_node_budget(nodes as usize);
         }
-        if let Some(samples) = ctx.params.get("tighten_samples").and_then(Json::as_u64) {
+        if let Some(samples) = optional_u64(ctx.params, "tighten_samples")? {
             config = config.with_mc_tighten_samples(samples);
         }
         Ok(Self {

@@ -325,6 +325,53 @@ fn mistyped_timeout_and_fault_limit_are_rejected() {
     assert_eq!(engine.pending(), 2, "only the well-typed requests queue");
 }
 
+/// A present but mistyped kernel parameter is refused with an error that
+/// names it: a string, fraction, negative or `null` must not silently run
+/// the kernel with its default.
+#[test]
+fn mistyped_kernel_parameters_are_rejected() {
+    let mut engine = JobEngine::new(test_config());
+    let bench = Json::str(ripple_adder_bench_text(2));
+    let integer_bad = [r#""64""#, "64.5", "-1", "null", "true", "[64]"];
+    let number_bad = [r#""0.5""#, "null", "true", "[0.5]"];
+    let params: [(&str, &str, &[&str], &str); 15] = [
+        ("fsim", "patterns", &integer_bad, "64"),
+        ("fsim", "seed", &integer_bad, "7"),
+        ("mc-detect", "samples", &integer_bad, "256"),
+        ("mc-detect", "seed", &integer_bad, "7"),
+        ("mc-signal", "output", &integer_bad, "2"),
+        ("mc-signal", "samples", &integer_bad, "256"),
+        ("mc-signal", "seed", &integer_bad, "7"),
+        ("detect", "seed", &integer_bad, "7"),
+        ("length", "seed", &integer_bad, "7"),
+        ("length", "confidence", &number_bad, "0.5"),
+        ("optimize", "confidence", &number_bad, "0.5"),
+        ("optimize", "max_sweeps", &integer_bad, "1"),
+        ("testability", "seed", &integer_bad, "7"),
+        ("testability", "node_budget", &integer_bad, "2000"),
+        ("testability", "tighten_samples", &integer_bad, "64"),
+    ];
+    for (kind, key, bad_values, good) in params {
+        let request = |v: &str| format!(r#"{{"kind":"{kind}","netlist":{bench},"{key}":{v}}}"#);
+        for bad in bad_values {
+            let verdict = engine.submit_json(&Json::parse(&request(bad)).unwrap());
+            assert_eq!(
+                verdict.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{kind} {key}={bad} admitted: {verdict}"
+            );
+            let error = verdict.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains(key), "error {error:?} does not name {key}");
+        }
+        submit_ok(&mut engine, &request(good));
+    }
+    assert_eq!(
+        engine.pending(),
+        params.len(),
+        "only the well-typed requests queue"
+    );
+}
+
 /// A `detect` request's `max_exact_rows` must be an integer no larger
 /// than the documented feasibility limit: a mistyped value would be
 /// silently ignored, and a huge one would let the exact tier's
