@@ -321,8 +321,9 @@ impl<'n> ExactDetector<'n> {
 /// ([`crate::DetectionEngine`]): exact enumeration runs when the row
 /// space fits [`RunBudget::effective_exact_rows`]; otherwise the walk is
 /// refused up front and the symbolic tiers run instead — the BDD tier,
-/// degrading per fault to certified cutting bounds (tightened by a
-/// short Monte Carlo run) when a fault's BDD overflows the node budget. Each returned [`DetectionEstimate`]
+/// degrading per fault to certified cutting bounds (tightened by Monte
+/// Carlo over one sample bank shared by the query) when a fault's BDD
+/// overflows the node budget. Each returned [`DetectionEstimate`]
 /// labels which tier produced it, so callers can report standard errors
 /// for bounded values. The tier mode comes from `DYNMOS_TESTABILITY`
 /// (default `auto`). A deadline/cancellation interrupt surfaces as

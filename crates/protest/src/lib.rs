@@ -93,5 +93,5 @@ pub use symbolic::{
 };
 pub use testability::{
     env_testability, tier_census, DetectionEngine, TestabilityConfig, TierMode,
-    DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES,
+    DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES, MAX_TIGHTEN_SAMPLES,
 };

@@ -24,7 +24,7 @@ use crate::list::FaultEntry;
 use crate::parallel::{Parallelism, ShardError, StreamWalk, WalkEnd};
 use crate::random::PatternSource;
 use crate::service::json::Json;
-use dynmos_netlist::{NetId, Network, NetworkFault, PackedEvaluator};
+use dynmos_netlist::{NetId, Network, NetworkFault, PackedEvaluator, PreparedFault};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -546,6 +546,58 @@ fn mc_span(
         }
     }
     hits
+}
+
+/// The first `samples` patterns of one weighted stream, evaluated once
+/// through the good machine at full width (one lane word per 64
+/// samples), so any number of faults can be scored against them by one
+/// event-driven replay each. A fault's estimate is bit-identical to its
+/// entry of [`mc_detection_probabilities`] at the same seed and sample
+/// count: the same stream batches, the same tail masks and the same
+/// integer hit count.
+pub(crate) struct SampleBank<'n> {
+    ev: PackedEvaluator<'n>,
+    masks: Vec<u64>,
+    diff: Vec<u64>,
+    samples: u64,
+}
+
+impl<'n> SampleBank<'n> {
+    /// Draws samples `0..samples` of `PatternSource::new(seed, pi_probs)`
+    /// and evaluates the good machine on them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0` or the probability arity mismatches.
+    pub(crate) fn new(net: &'n Network, pi_probs: &[f64], seed: u64, samples: u64) -> Self {
+        assert!(samples > 0, "need at least one sample");
+        let width = samples.div_ceil(64) as usize;
+        let src = PatternSource::new(seed, pi_probs.to_vec());
+        let mut batch = vec![0u64; src.input_count() * width];
+        src.fill_batch_wide_at(0, width, &mut batch);
+        let mut ev = PackedEvaluator::with_width(net, width);
+        ev.eval(&batch);
+        Self {
+            ev,
+            masks: (0..width as u64)
+                .map(|w| tail_mask(w * 64, samples))
+                .collect(),
+            diff: vec![0; width],
+            samples,
+        }
+    }
+
+    /// The Monte Carlo detection estimate of `fault` over the bank.
+    pub(crate) fn estimate(&mut self, fault: &PreparedFault<'_>) -> Estimate {
+        self.ev.fault_diff(fault, &mut self.diff);
+        let hits = self
+            .diff
+            .iter()
+            .zip(&self.masks)
+            .map(|(d, m)| u64::from((d & m).count_ones()))
+            .sum();
+        estimate_from_counts(hits, self.samples)
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,9 @@ use crate::optimize::{optimize_input_probabilities_budgeted, OptimizeReport};
 use crate::parallel::Parallelism;
 use crate::random::PatternSource;
 use crate::service::json::Json;
-use crate::testability::{tier_census, DetectionEngine, TestabilityConfig, TierMode};
+use crate::testability::{
+    tier_census, DetectionEngine, TestabilityConfig, TierMode, MAX_TIGHTEN_SAMPLES,
+};
 use dynmos_netlist::Network;
 use std::sync::Arc;
 
@@ -992,8 +994,11 @@ impl TestabilityJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`, an unknown `mode`, or a
-    /// mistyped `seed`, `node_budget` or `tighten_samples`.
+    /// Returns a message for invalid `probs`, an unknown `mode`, a
+    /// mistyped `seed`, `node_budget` or `tighten_samples`, or a
+    /// `tighten_samples` above [`MAX_TIGHTEN_SAMPLES`]: the sample bank is
+    /// drawn outside the leg budget, so a larger count would let a leg
+    /// ignore its deadline.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
         let n = ctx.net.primary_inputs().len();
         let mut config = TestabilityConfig::from_env()
@@ -1005,6 +1010,11 @@ impl TestabilityJob {
             config = config.with_node_budget(nodes as usize);
         }
         if let Some(samples) = optional_u64(ctx.params, "tighten_samples")? {
+            if samples > MAX_TIGHTEN_SAMPLES {
+                return Err(format!(
+                    "\"tighten_samples\" must be at most {MAX_TIGHTEN_SAMPLES}, got {samples}"
+                ));
+            }
             config = config.with_mc_tighten_samples(samples);
         }
         Ok(Self {

@@ -25,8 +25,10 @@
 //!    (disjoint primary-input support) keep the exact product rules. The
 //!    result is a certified `[low, high]` enclosure of the true
 //!    detection probability for *any* reconvergence pattern, optionally
-//!    tightened by the budgeted Monte Carlo estimators (the reported
-//!    value is the sample mean clamped into the certified interval).
+//!    tightened by Monte Carlo: each query draws one bank of weighted
+//!    samples, evaluates the good machine on it once, and replays every
+//!    cutting fault against it (the reported value is the fault's sample
+//!    mean clamped into the certified interval).
 //!
 //! Tier selection per (circuit, fault) is automatic and every estimate
 //! carries its provenance in [`DetectionEstimate::method`]. The
@@ -41,9 +43,10 @@
 use crate::budget::{RunBudget, RunStatus, StopReason};
 use crate::detect::{row_space, DetectionEstimate, EstimateMethod, ExactDetector};
 use crate::list::FaultEntry;
+use crate::montecarlo::{Estimate, SampleBank};
 use crate::parallel::Parallelism;
 use dynmos_logic::{Bdd, BddRef, Bexpr, VarId};
-use dynmos_netlist::{Network, NetworkFault};
+use dynmos_netlist::{Network, NetworkFault, PreparedFault};
 use std::collections::HashMap;
 
 /// Default node budget for the per-circuit BDD manager.
@@ -52,6 +55,12 @@ pub const DEFAULT_NODE_BUDGET: usize = 1 << 20;
 /// Default Monte Carlo sample count used to tighten cutting bounds
 /// (`0` disables tightening; the midpoint of the interval is reported).
 pub const DEFAULT_TIGHTEN_SAMPLES: u64 = 1 << 12;
+
+/// Largest accepted tightening sample count. The sample bank holds one
+/// lane word per 64 samples for every net, and it is drawn outside the
+/// caller's budget, so an unbounded count would let one query outrun
+/// any deadline and memory cap.
+pub const MAX_TIGHTEN_SAMPLES: u64 = 1 << 16;
 
 /// Which engine tier(s) a [`DetectionEngine`] may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,11 +138,14 @@ pub struct TestabilityConfig {
     pub mode: TierMode,
     /// Hard cap on the BDD manager's node store.
     pub node_budget: usize,
-    /// Monte Carlo samples for tightening cutting bounds (0 = off).
+    /// Monte Carlo samples for tightening cutting bounds (0 = off; at
+    /// most [`MAX_TIGHTEN_SAMPLES`]).
     pub mc_tighten_samples: u64,
-    /// Base seed for the tightening sampler; each fault derives its own
-    /// stream from `seed` and its fault index, so resuming a run at any
-    /// fault boundary reproduces identical values.
+    /// Seed of the tightening sampler. Every query draws one bank of
+    /// samples from this seed's stream and scores each cutting fault
+    /// against it, so a fault's value depends only on the seed, the
+    /// input probabilities, the fault and the sample count: resuming a
+    /// run at any fault boundary reproduces identical values.
     pub seed: u64,
 }
 
@@ -167,7 +179,15 @@ impl TestabilityConfig {
     }
 
     /// Replaces the bound-tightening sample count (0 disables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` exceeds [`MAX_TIGHTEN_SAMPLES`].
     pub fn with_mc_tighten_samples(mut self, samples: u64) -> Self {
+        assert!(
+            samples <= MAX_TIGHTEN_SAMPLES,
+            "tightening samples {samples} exceed the cap of {MAX_TIGHTEN_SAMPLES}"
+        );
         self.mc_tighten_samples = samples;
         self
     }
@@ -218,14 +238,18 @@ struct SymbolicState {
     /// `var_of_pi[i]` = BDD variable of the i-th primary input under the
     /// fanin-driven order.
     var_of_pi: Vec<u32>,
+    /// Per-gate logic function, lowered once from the gate's cell.
+    functions: Vec<Bexpr>,
     /// Per-net good-machine function; only valid when `good_ok`.
     good: Vec<BddRef>,
     /// `false` when the good machine itself overflowed the node budget
     /// (or the mode is cutting-only): every fault takes the cutting tier.
     good_ok: bool,
     tiers: Vec<FaultTier>,
-    /// Per-net primary-input support bitsets (lazily built for cutting).
-    supports: Option<Vec<Vec<u64>>>,
+    /// The current fault's cone functions while its difference is built.
+    faulty: Overlay<BddRef>,
+    /// Built at the first cutting fault.
+    cut: Option<CutTier>,
 }
 
 enum Resolved<'n> {
@@ -313,10 +337,21 @@ impl<'n> DetectionEngine<'n> {
             return RunStatus::Completed;
         }
         self.ensure_resolved(budget);
-        match self.resolved.as_ref().expect("resolved above") {
-            Resolved::Exact(det) => self.run_exact(det, start, pi_probs, budget, sink),
-            Resolved::Symbolic(_) => self.run_symbolic(start, pi_probs, budget, sink),
+        if let Some(Resolved::Symbolic(state)) = self.resolved.as_mut() {
+            return state.run(
+                self.net,
+                &self.faults,
+                &self.config,
+                start,
+                pi_probs,
+                budget,
+                sink,
+            );
         }
+        let Some(Resolved::Exact(det)) = self.resolved.as_ref() else {
+            unreachable!("resolved above")
+        };
+        self.run_exact(det, start, pi_probs, budget, sink)
     }
 
     /// Decides the exact-vs-symbolic split once and freezes it, so tier
@@ -350,6 +385,10 @@ impl<'n> DetectionEngine<'n> {
         for (var, &pi) in order.iter().enumerate() {
             var_of_pi[pi] = var as u32;
         }
+        let mut functions = vec![Bexpr::Const(false); net.gates().len()];
+        for &g in net.topo_order() {
+            functions[g.index()] = net.cell_of(g).logic_function();
+        }
         let mut bdd = Bdd::with_node_limit(self.config.node_budget);
         let mut good = vec![BddRef::FALSE; net.net_count()];
         let mut good_ok = self.config.mode != TierMode::Cutting;
@@ -367,9 +406,10 @@ impl<'n> DetectionEngine<'n> {
         if good_ok {
             'gates: for &g in net.topo_order() {
                 let inst = &net.gates()[g.index()];
-                let function = net.cell_of(g).logic_function();
-                let inputs = inst.inputs.clone();
-                match bdd.try_eval_expr_over(&function, &|v| good[inputs[v.index()].index()]) {
+                let inputs = &inst.inputs;
+                match bdd
+                    .try_eval_expr_over(&functions[g.index()], &|v| good[inputs[v.index()].index()])
+                {
                     Ok(r) => good[inst.output.index()] = r,
                     Err(_) => {
                         // The circuit itself is over budget: every fault
@@ -383,10 +423,12 @@ impl<'n> DetectionEngine<'n> {
         SymbolicState {
             bdd,
             var_of_pi,
+            functions,
             good,
             good_ok,
             tiers: vec![FaultTier::Unresolved; self.faults.len()],
-            supports: None,
+            faulty: Overlay::new(net.net_count()),
+            cut: None,
         }
     }
 
@@ -434,66 +476,76 @@ impl<'n> DetectionEngine<'n> {
         }
         RunStatus::Completed
     }
+}
 
+impl SymbolicState {
     /// BDD/cutting tiers: strictly per-fault streaming.
-    fn run_symbolic(
+    #[allow(clippy::too_many_arguments)]
+    fn run(
         &mut self,
+        net: &Network,
+        faults: &[FaultEntry],
+        config: &TestabilityConfig,
         start: usize,
         pi_probs: &[f64],
         budget: &RunBudget,
         sink: &mut dyn FnMut(usize, DetectionEstimate),
     ) -> RunStatus {
-        let total = self.faults.len();
         // Probabilities permuted from PI order into BDD variable order.
-        let ordered: Vec<f64> = {
-            let state = self.symbolic();
-            let mut v = vec![0.0; pi_probs.len()];
-            for (i, &p) in pi_probs.iter().enumerate() {
-                v[state.var_of_pi[i] as usize] = p;
-            }
-            v
-        };
-        // Good-machine intervals for the cutting tier, computed at most
-        // once per call (they depend on pi_probs).
-        let mut good_iv: Option<Vec<(f64, f64)>> = None;
+        let mut ordered = vec![0.0; pi_probs.len()];
+        for (i, &p) in pi_probs.iter().enumerate() {
+            ordered[self.var_of_pi[i] as usize] = p;
+        }
+        let forced_cut = config.mode == TierMode::Cutting || !self.good_ok;
+        // The cutting tier's good-machine intervals and Monte Carlo bank
+        // depend on pi_probs: each is built at most once per call.
+        let mut good_iv: Option<Vec<Interval>> = None;
+        let mut bank: Option<SampleBank<'_>> = None;
         let mut prob_memo: HashMap<BddRef, f64> = HashMap::new();
         let mut emitted = false;
-        for i in start..total {
+        for (i, entry) in faults.iter().enumerate().skip(start) {
             if emitted {
                 if let Some(reason) = budget.stop_requested() {
                     return RunStatus::Interrupted(reason);
                 }
             }
-            self.resolve_fault(i);
-            let est = match self.symbolic().tiers[i] {
+            let fault = &entry.fault;
+            // Prepared once per estimate, only for the faults whose cone
+            // is walked: an unresolved fault's, or a cutting fault's.
+            let prepared = match self.tiers[i] {
+                FaultTier::Bdd(_) => None,
+                _ => Some(net.prepare_fault(fault)),
+            };
+            if let (FaultTier::Unresolved, Some(prepared)) = (self.tiers[i], &prepared) {
+                self.tiers[i] = if forced_cut {
+                    FaultTier::Cutting
+                } else {
+                    self.resolve(net, fault, prepared)
+                };
+            }
+            let est = match self.tiers[i] {
                 FaultTier::Unresolved => unreachable!("resolved above"),
-                FaultTier::Bdd(root) => {
-                    let state = self.symbolic();
-                    let value = state.bdd.probability_memo(root, &ordered, &mut prob_memo);
-                    DetectionEstimate {
-                        value,
-                        std_error: 0.0,
-                        method: EstimateMethod::Bdd,
-                        bounds: None,
-                    }
-                }
+                FaultTier::Bdd(root) => DetectionEstimate {
+                    value: self.bdd.probability_memo(root, &ordered, &mut prob_memo),
+                    std_error: 0.0,
+                    method: EstimateMethod::Bdd,
+                    bounds: None,
+                },
                 FaultTier::Cutting => {
-                    self.ensure_supports();
-                    let state = self.symbolic();
-                    let iv = good_iv.get_or_insert_with(|| {
-                        good_intervals(
-                            self.net,
-                            pi_probs,
-                            state.supports.as_ref().expect("built above"),
-                        )
+                    let prepared = prepared.as_ref().expect("prepared above");
+                    let functions = &self.functions;
+                    let cut = self.cut.get_or_insert_with(|| CutTier::new(net, functions));
+                    let iv =
+                        good_iv.get_or_insert_with(|| cut.good_intervals(net, functions, pi_probs));
+                    let (lo, hi) = cut.fault_bounds(net, functions, fault, prepared, iv);
+                    let samples = config.mc_tighten_samples;
+                    let mc = (samples > 0 && hi - lo >= 1e-12).then(|| {
+                        bank.get_or_insert_with(|| {
+                            SampleBank::new(net, pi_probs, config.seed, samples)
+                        })
+                        .estimate(prepared)
                     });
-                    let (lo, hi) = fault_bounds(
-                        self.net,
-                        &self.faults[i].fault,
-                        iv,
-                        state.supports.as_ref().expect("built above"),
-                    );
-                    self.tightened_estimate(i, pi_probs, lo, hi)
+                    tightened_estimate(lo, hi, mc)
                 }
             };
             sink(i, est);
@@ -502,112 +554,87 @@ impl<'n> DetectionEngine<'n> {
         RunStatus::Completed
     }
 
-    fn symbolic(&self) -> &SymbolicState {
-        match self.resolved.as_ref() {
-            Some(Resolved::Symbolic(s)) => s,
-            _ => unreachable!("symbolic state required"),
-        }
-    }
-
-    fn symbolic_mut(&mut self) -> &mut SymbolicState {
-        match self.resolved.as_mut() {
-            Some(Resolved::Symbolic(s)) => s,
-            _ => unreachable!("symbolic state required"),
-        }
-    }
-
-    fn ensure_supports(&mut self) {
-        let net = self.net;
-        let state = self.symbolic_mut();
-        if state.supports.is_none() {
-            state.supports = Some(pi_supports(net));
-        }
-    }
-
-    /// Resolves fault `i`'s tier: build its difference BDD, rolling the
+    /// Resolves a fault's tier: build its difference BDD, rolling the
     /// node store back and demoting to cutting on overflow.
-    fn resolve_fault(&mut self, i: usize) {
-        let net = self.net;
-        let fault = self.faults[i].fault.clone();
-        let forced_cut = self.config.mode == TierMode::Cutting || !self.symbolic().good_ok;
-        let state = self.symbolic_mut();
-        if !matches!(state.tiers[i], FaultTier::Unresolved) {
-            return;
-        }
-        if forced_cut {
-            state.tiers[i] = FaultTier::Cutting;
-            return;
-        }
-        let mark = state.bdd.mark();
-        match build_diff(net, &mut state.bdd, &state.good, &fault) {
-            Ok(root) => state.tiers[i] = FaultTier::Bdd(root),
-            Err(_) => {
-                state.bdd.truncate(mark);
-                state.tiers[i] = FaultTier::Cutting;
-            }
-        }
-    }
-
-    /// Builds the cutting-tier estimate for fault `i`: certified bounds,
-    /// optionally tightened by a per-fault Monte Carlo run whose seed is
-    /// derived from the fault index (batch-independent, so resumed runs
-    /// reproduce the same value). The tightening run is deliberately not
-    /// placed under the caller's budget: its sample count is small and
-    /// bounded, and an always-complete run keeps committed values
-    /// independent of leg timing.
-    fn tightened_estimate(
-        &self,
-        i: usize,
-        pi_probs: &[f64],
-        lo: f64,
-        hi: f64,
-    ) -> DetectionEstimate {
-        let samples = self.config.mc_tighten_samples;
-        if samples == 0 || hi - lo < 1e-12 {
-            return DetectionEstimate {
-                value: 0.5 * (lo + hi),
-                std_error: 0.5 * (hi - lo),
-                method: EstimateMethod::Cutting,
-                bounds: Some((lo, hi)),
-            };
-        }
-        let seed = per_fault_seed(self.config.seed, i);
-        let run = crate::montecarlo::mc_detection_probabilities_budgeted(
-            self.net,
-            std::slice::from_ref(&self.faults[i]),
-            pi_probs,
-            seed,
-            samples,
-            Parallelism::Serial,
-            &RunBudget::unlimited(),
+    fn resolve(
+        &mut self,
+        net: &Network,
+        fault: &NetworkFault,
+        prepared: &PreparedFault<'_>,
+    ) -> FaultTier {
+        let mark = self.bdd.mark();
+        let built = build_diff(
+            net,
+            &mut self.bdd,
+            &self.functions,
+            &self.good,
+            &mut self.faulty,
+            fault,
+            prepared,
         );
-        match run.status {
-            RunStatus::Completed => {
-                let e = &run.estimates[0];
-                DetectionEstimate {
-                    value: e.value.clamp(lo, hi),
-                    std_error: e.std_error().min(0.5 * (hi - lo)),
-                    method: EstimateMethod::Cutting,
-                    bounds: Some((lo, hi)),
-                }
+        match built {
+            Ok(root) => FaultTier::Bdd(root),
+            Err(_) => {
+                self.bdd.truncate(mark);
+                FaultTier::Cutting
             }
-            // Unreachable with an unlimited budget; keep the midpoint as
-            // a defensive fallback rather than panicking.
-            RunStatus::Interrupted(_) => DetectionEstimate {
-                value: 0.5 * (lo + hi),
-                std_error: 0.5 * (hi - lo),
-                method: EstimateMethod::Cutting,
-                bounds: Some((lo, hi)),
-            },
         }
     }
 }
 
-/// Mixes the engine seed with a fault index into an independent stream.
-fn per_fault_seed(seed: u64, fault_index: usize) -> u64 {
-    seed ^ (fault_index as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(0xD1B5_4A32_D192_ED03)
+/// The cutting-tier estimate for certified bounds `[lo, hi]`. With a
+/// Monte Carlo estimate `mc` (drawn from the query's shared
+/// [`SampleBank`], so fault `i`'s value is the `i`-th entry of
+/// `mc_detection_probabilities` at the engine seed, whichever faults ran
+/// before it), the value is that estimate clamped into the interval;
+/// without one (tightening off, or a point interval), the midpoint. The
+/// bank is deliberately not built under the caller's budget: its sample
+/// count is capped and an always-complete bank keeps committed values
+/// independent of leg timing.
+fn tightened_estimate(lo: f64, hi: f64, mc: Option<Estimate>) -> DetectionEstimate {
+    let (value, std_error) = match mc {
+        Some(e) => (e.value.clamp(lo, hi), e.std_error().min(0.5 * (hi - lo))),
+        None => (0.5 * (lo + hi), 0.5 * (hi - lo)),
+    };
+    DetectionEstimate {
+        value,
+        std_error,
+        method: EstimateMethod::Cutting,
+        bounds: Some((lo, hi)),
+    }
+}
+
+/// Per-net values of one faulty machine laid over the good machine: a
+/// net holds a value only once the current fault has written it, and
+/// [`Overlay::clear`] forgets exactly the nets written.
+struct Overlay<T> {
+    value: Vec<Option<T>>,
+    written: Vec<usize>,
+}
+
+impl<T: Copy> Overlay<T> {
+    fn new(nets: usize) -> Self {
+        Self {
+            value: vec![None; nets],
+            written: Vec::new(),
+        }
+    }
+
+    fn get(&self, net: usize) -> Option<T> {
+        self.value[net]
+    }
+
+    fn set(&mut self, net: usize, v: T) {
+        if self.value[net].replace(v).is_none() {
+            self.written.push(net);
+        }
+    }
+
+    fn clear(&mut self) {
+        for net in self.written.drain(..) {
+            self.value[net] = None;
+        }
+    }
 }
 
 /// Fanin-driven variable order: DFS from each primary output through the
@@ -660,42 +687,45 @@ fn fanin_dfs_order(net: &Network) -> Vec<usize> {
 
 /// Rebuilds only the fault's fanout cone with the fault injected and
 /// returns the Boolean difference (OR of XORs at the observable
-/// outputs). `FALSE` proves the fault undetectable.
+/// outputs). `FALSE` proves the fault undetectable. `faulty` is scratch:
+/// the cone's functions live there while the difference is built.
 fn build_diff(
     net: &Network,
     bdd: &mut Bdd,
+    functions: &[Bexpr],
     good: &[BddRef],
+    faulty: &mut Overlay<BddRef>,
     fault: &NetworkFault,
+    prepared: &PreparedFault<'_>,
 ) -> Result<BddRef, dynmos_logic::BddOverflow> {
-    let prepared = net.prepare_fault(fault);
-    let mut faulty: HashMap<usize, BddRef> = HashMap::new();
+    faulty.clear();
     if let NetworkFault::NetStuck(netid, v) = fault {
-        faulty.insert(netid.index(), if *v { BddRef::TRUE } else { BddRef::FALSE });
+        faulty.set(netid.index(), if *v { BddRef::TRUE } else { BddRef::FALSE });
     }
     for &pos in prepared.cone_positions() {
         let g = net.topo_order()[pos as usize];
         let inst = &net.gates()[g.index()];
         let function = match fault {
-            NetworkFault::GateFunction(fg, f) if *fg == g => f.clone(),
-            _ => net.cell_of(g).logic_function(),
+            NetworkFault::GateFunction(fg, f) if *fg == g => f,
+            _ => &functions[g.index()],
         };
-        let inputs = inst.inputs.clone();
-        let out = bdd.try_eval_expr_over(&function, &|v| {
+        let inputs = &inst.inputs;
+        let out = bdd.try_eval_expr_over(function, &|v| {
             let nid = inputs[v.index()].index();
-            faulty.get(&nid).copied().unwrap_or(good[nid])
+            faulty.get(nid).unwrap_or(good[nid])
         })?;
         let out_idx = inst.output.index();
         // A stuck net stays stuck regardless of what its readers see
         // upstream; never overwrite the forced constant.
         let stuck_here = matches!(fault, NetworkFault::NetStuck(nid, _) if nid.index() == out_idx);
         if !stuck_here {
-            faulty.insert(out_idx, out);
+            faulty.set(out_idx, out);
         }
     }
     let mut diff = BddRef::FALSE;
     for &po_idx in prepared.observable_outputs() {
         let po = net.primary_outputs()[po_idx as usize].index();
-        let bad = faulty.get(&po).copied().unwrap_or(good[po]);
+        let bad = faulty.get(po).unwrap_or(good[po]);
         let x = bdd.try_xor(good[po], bad)?;
         diff = bdd.try_or(diff, x)?;
     }
@@ -706,238 +736,261 @@ fn build_diff(
 // Cutting tier: certified interval propagation.
 // ---------------------------------------------------------------------
 
-fn union_into(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
+/// A probability interval `(low, high)`.
+type Interval = (f64, f64);
 
-fn disjoint(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x & y == 0)
-}
-
-/// Per-net primary-input support bitsets (one `u64` word per 64 PIs).
-fn pi_supports(net: &Network) -> Vec<Vec<u64>> {
-    let n = net.primary_inputs().len();
-    let words = n.div_ceil(64).max(1);
-    let mut supp = vec![vec![0u64; words]; net.net_count()];
-    for (i, &pi) in net.primary_inputs().iter().enumerate() {
-        supp[pi.index()][i / 64] |= 1u64 << (i % 64);
-    }
-    for &g in net.topo_order() {
-        let inst = &net.gates()[g.index()];
-        let function = net.cell_of(g).logic_function();
-        let mut s = vec![0u64; words];
-        for v in function.support() {
-            union_into(&mut s, &supp[inst.inputs[v.index()].index()]);
-        }
-        supp[inst.output.index()] = s;
-    }
-    supp
-}
-
-/// A probability interval with the support of the underlying event.
-#[derive(Clone)]
-struct IvS {
-    lo: f64,
-    hi: f64,
-    supp: Vec<u64>,
-}
-
-impl IvS {
-    fn constant(b: bool, words: usize) -> IvS {
-        let p = if b { 1.0 } else { 0.0 };
-        IvS {
-            lo: p,
-            hi: p,
-            supp: vec![0u64; words],
-        }
-    }
-
-    fn clamp(mut self) -> IvS {
-        self.lo = self.lo.clamp(0.0, 1.0);
-        self.hi = self.hi.clamp(self.lo, 1.0);
-        self
-    }
+fn clamp_iv((lo, hi): Interval) -> Interval {
+    let lo = lo.clamp(0.0, 1.0);
+    (lo, hi.clamp(lo, 1.0))
 }
 
 /// AND of two events: exact product rule when the supports are provably
 /// independent (disjoint), Fréchet bounds otherwise.
-fn and_iv(a: &IvS, b: &IvS) -> IvS {
-    let mut supp = a.supp.clone();
-    union_into(&mut supp, &b.supp);
-    let (lo, hi) = if disjoint(&a.supp, &b.supp) {
-        (a.lo * b.lo, a.hi * b.hi)
+fn and_iv(a: Interval, b: Interval, disjoint: bool) -> Interval {
+    clamp_iv(if disjoint {
+        (a.0 * b.0, a.1 * b.1)
     } else {
-        ((a.lo + b.lo - 1.0).max(0.0), a.hi.min(b.hi))
-    };
-    IvS { lo, hi, supp }.clamp()
+        ((a.0 + b.0 - 1.0).max(0.0), a.1.min(b.1))
+    })
 }
 
 /// OR of two events: independence rule on disjoint supports, Fréchet
 /// bounds otherwise.
-fn or_iv(a: &IvS, b: &IvS) -> IvS {
-    let mut supp = a.supp.clone();
-    union_into(&mut supp, &b.supp);
-    let (lo, hi) = if disjoint(&a.supp, &b.supp) {
-        (a.lo + b.lo - a.lo * b.lo, a.hi + b.hi - a.hi * b.hi)
+fn or_iv(a: Interval, b: Interval, disjoint: bool) -> Interval {
+    clamp_iv(if disjoint {
+        (a.0 + b.0 - a.0 * b.0, a.1 + b.1 - a.1 * b.1)
     } else {
-        (a.lo.max(b.lo), (a.hi + b.hi).min(1.0))
-    };
-    IvS { lo, hi, supp }.clamp()
+        (a.0.max(b.0), (a.1 + b.1).min(1.0))
+    })
 }
 
-fn not_iv(a: &IvS) -> IvS {
-    IvS {
-        lo: 1.0 - a.hi,
-        hi: 1.0 - a.lo,
-        supp: a.supp.clone(),
-    }
-    .clamp()
+fn not_iv(a: Interval) -> Interval {
+    clamp_iv((1.0 - a.1, 1.0 - a.0))
 }
 
 /// XOR of two events. Disjoint supports: `pa + pb - 2 pa pb` is bilinear,
 /// so the extremes sit at the interval corners. Overlapping supports:
 /// `P(a xor b) >= |P(a)-P(b)|` and `P(a xor b) <= min(P(a)+P(b),
 /// 2-P(a)-P(b))` hold for any joint distribution.
-fn xor_iv(a: &IvS, b: &IvS) -> IvS {
-    let mut supp = a.supp.clone();
-    union_into(&mut supp, &b.supp);
-    let (lo, hi) = if disjoint(&a.supp, &b.supp) {
+fn xor_iv(a: Interval, b: Interval, disjoint: bool) -> Interval {
+    clamp_iv(if disjoint {
         let f = |pa: f64, pb: f64| pa + pb - 2.0 * pa * pb;
-        let corners = [f(a.lo, b.lo), f(a.lo, b.hi), f(a.hi, b.lo), f(a.hi, b.hi)];
+        let corners = [f(a.0, b.0), f(a.0, b.1), f(a.1, b.0), f(a.1, b.1)];
         (
             corners.iter().cloned().fold(f64::INFINITY, f64::min),
             corners.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
         )
     } else {
         (
-            (a.lo - b.hi).max(b.lo - a.hi).max(0.0),
-            (a.hi + b.hi).min(2.0 - a.lo - b.lo).min(1.0),
+            (a.0 - b.1).max(b.0 - a.1).max(0.0),
+            (a.1 + b.1).min(2.0 - a.0 - b.0).min(1.0),
         )
-    };
-    IvS { lo, hi, supp }.clamp()
+    })
 }
 
-/// Evaluates a gate function over operand intervals.
-fn expr_interval(expr: &Bexpr, words: usize, leaf: &impl Fn(VarId) -> IvS) -> IvS {
-    match expr {
-        Bexpr::Const(b) => IvS::constant(*b, words),
-        Bexpr::Var(v) => leaf(*v),
-        Bexpr::Not(e) => not_iv(&expr_interval(e, words, leaf)),
-        Bexpr::And(ts) => {
-            let mut acc = IvS::constant(true, words);
-            for t in ts {
-                let b = expr_interval(t, words, leaf);
-                acc = and_iv(&acc, &b);
+/// Interval evaluation of gate functions without a per-operand
+/// allocation: operand supports sit on one stack, `words` words each,
+/// and every operation replaces its two operands by their union.
+struct IntervalEval {
+    /// Support words per event (one `u64` per 64 primary inputs).
+    words: usize,
+    stack: Vec<u64>,
+}
+
+impl IntervalEval {
+    /// Evaluates a gate function over operand intervals, leaving the
+    /// result's support on top of the stack. `leaf` gives an operand's
+    /// interval and support.
+    fn eval<'s>(
+        &mut self,
+        expr: &Bexpr,
+        leaf: &impl Fn(VarId) -> (Interval, &'s [u64]),
+    ) -> Interval {
+        match expr {
+            Bexpr::Const(b) => self.constant(*b),
+            Bexpr::Var(v) => {
+                let (iv, supp) = leaf(*v);
+                self.stack.extend_from_slice(supp);
+                iv
             }
-            acc
-        }
-        Bexpr::Or(ts) => {
-            let mut acc = IvS::constant(false, words);
-            for t in ts {
-                let b = expr_interval(t, words, leaf);
-                acc = or_iv(&acc, &b);
+            Bexpr::Not(e) => not_iv(self.eval(e, leaf)),
+            Bexpr::And(ts) => {
+                let mut acc = self.constant(true);
+                for t in ts {
+                    let b = self.eval(t, leaf);
+                    acc = and_iv(acc, b, self.merge());
+                }
+                acc
             }
-            acc
+            Bexpr::Or(ts) => {
+                let mut acc = self.constant(false);
+                for t in ts {
+                    let b = self.eval(t, leaf);
+                    acc = or_iv(acc, b, self.merge());
+                }
+                acc
+            }
         }
+    }
+
+    /// A constant event: a point interval with empty support.
+    fn constant(&mut self, b: bool) -> Interval {
+        self.stack.resize(self.stack.len() + self.words, 0);
+        let p = if b { 1.0 } else { 0.0 };
+        (p, p)
+    }
+
+    /// Replaces the two top supports by their union and reports whether
+    /// they were disjoint.
+    fn merge(&mut self) -> bool {
+        let top = self.stack.len() - self.words;
+        let (rest, b) = self.stack.split_at_mut(top);
+        let a = &mut rest[top - self.words..];
+        let mut disjoint = true;
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            disjoint &= *x & *y == 0;
+            *x |= *y;
+        }
+        self.stack.truncate(top);
+        disjoint
     }
 }
 
-/// Good-machine probability intervals per net: point intervals at the
-/// primary inputs, widening only where reconvergence forces a cut.
-fn good_intervals(net: &Network, pi_probs: &[f64], supports: &[Vec<u64>]) -> Vec<(f64, f64)> {
-    let words = supports.first().map_or(1, Vec::len);
-    let mut iv = vec![(0.0, 0.0); net.net_count()];
-    for (i, &pi) in net.primary_inputs().iter().enumerate() {
-        iv[pi.index()] = (pi_probs[i], pi_probs[i]);
-    }
-    for &g in net.topo_order() {
-        let inst = &net.gates()[g.index()];
-        let function = net.cell_of(g).logic_function();
-        let inputs = &inst.inputs;
-        let out = expr_interval(&function, words, &|v| {
-            let nid = inputs[v.index()].index();
-            IvS {
-                lo: iv[nid].0,
-                hi: iv[nid].1,
-                supp: supports[nid].clone(),
-            }
-        });
-        iv[inst.output.index()] = (out.lo, out.hi);
-    }
-    iv
+/// The cutting tier's per-engine state, built at the first cutting
+/// fault: per-net primary-input supports and the scratch every fault's
+/// interval propagation reuses.
+struct CutTier {
+    /// Per-net primary-input support bitsets, `eval.words` per net.
+    supports: Vec<u64>,
+    /// The current fault's cone intervals, over the good machine's.
+    faulty: Overlay<Interval>,
+    /// Supports of the nets `faulty` holds, `eval.words` per net.
+    faulty_supp: Vec<u64>,
+    eval: IntervalEval,
 }
 
-/// Certified `[low, high]` detection-probability bounds for one fault:
-/// interval-propagates the faulty cone over the good-machine intervals
-/// and bounds the OR of per-output XOR events with Fréchet rules.
-fn fault_bounds(
-    net: &Network,
-    fault: &NetworkFault,
-    good_iv: &[(f64, f64)],
-    supports: &[Vec<u64>],
-) -> (f64, f64) {
-    let words = supports.first().map_or(1, Vec::len);
-    let prepared = net.prepare_fault(fault);
-    let mut f_iv: HashMap<usize, (f64, f64)> = HashMap::new();
-    let mut f_supp: HashMap<usize, Vec<u64>> = HashMap::new();
-    if let NetworkFault::NetStuck(netid, v) = fault {
-        let p = if *v { 1.0 } else { 0.0 };
-        f_iv.insert(netid.index(), (p, p));
-        f_supp.insert(netid.index(), vec![0u64; words]);
-    }
-    for &pos in prepared.cone_positions() {
-        let g = net.topo_order()[pos as usize];
-        let inst = &net.gates()[g.index()];
-        let function = match fault {
-            NetworkFault::GateFunction(fg, f) if *fg == g => f.clone(),
-            _ => net.cell_of(g).logic_function(),
-        };
-        let inputs = &inst.inputs;
-        let out = expr_interval(&function, words, &|v| {
-            let nid = inputs[v.index()].index();
-            let (lo, hi) = f_iv.get(&nid).copied().unwrap_or(good_iv[nid]);
-            let supp = f_supp
-                .get(&nid)
-                .cloned()
-                .unwrap_or_else(|| supports[nid].clone());
-            IvS { lo, hi, supp }
-        });
-        let out_idx = inst.output.index();
-        let stuck_here = matches!(fault, NetworkFault::NetStuck(nid, _) if nid.index() == out_idx);
-        if !stuck_here {
-            f_iv.insert(out_idx, (out.lo, out.hi));
-            f_supp.insert(out_idx, out.supp);
+impl CutTier {
+    fn new(net: &Network, functions: &[Bexpr]) -> Self {
+        let words = net.primary_inputs().len().div_ceil(64).max(1);
+        let mut supports = vec![0u64; net.net_count() * words];
+        for (i, &pi) in net.primary_inputs().iter().enumerate() {
+            supports[pi.index() * words + i / 64] |= 1u64 << (i % 64);
+        }
+        for &g in net.topo_order() {
+            let inst = &net.gates()[g.index()];
+            let out = inst.output.index() * words;
+            supports[out..out + words].fill(0);
+            for v in functions[g.index()].support() {
+                let src = inst.inputs[v.index()].index() * words;
+                for k in 0..words {
+                    supports[out + k] |= supports[src + k];
+                }
+            }
+        }
+        Self {
+            supports,
+            faulty: Overlay::new(net.net_count()),
+            faulty_supp: vec![0; net.net_count() * words],
+            eval: IntervalEval {
+                words,
+                stack: Vec::new(),
+            },
         }
     }
-    // Detection = OR over observable outputs of XOR(good, faulty).
-    let mut det = IvS::constant(false, words);
-    for &po_idx in prepared.observable_outputs() {
-        let po = net.primary_outputs()[po_idx as usize].index();
-        let good = IvS {
-            lo: good_iv[po].0,
-            hi: good_iv[po].1,
-            supp: supports[po].clone(),
-        };
-        let (blo, bhi) = f_iv.get(&po).copied().unwrap_or(good_iv[po]);
-        if !f_iv.contains_key(&po) {
-            // The faulty machine equals the good machine here; the XOR
-            // is identically false.
-            continue;
+
+    /// Good-machine probability intervals per net: point intervals at the
+    /// primary inputs, widening only where reconvergence forces a cut.
+    fn good_intervals(
+        &mut self,
+        net: &Network,
+        functions: &[Bexpr],
+        pi_probs: &[f64],
+    ) -> Vec<Interval> {
+        let (words, supports) = (self.eval.words, &self.supports);
+        let mut iv = vec![(0.0, 0.0); net.net_count()];
+        for (i, &pi) in net.primary_inputs().iter().enumerate() {
+            iv[pi.index()] = (pi_probs[i], pi_probs[i]);
         }
-        let bad = IvS {
-            lo: blo,
-            hi: bhi,
-            supp: f_supp
-                .get(&po)
-                .cloned()
-                .unwrap_or_else(|| supports[po].clone()),
-        };
-        let x = xor_iv(&good, &bad);
-        det = or_iv(&det, &x);
+        for &g in net.topo_order() {
+            let inst = &net.gates()[g.index()];
+            let inputs = &inst.inputs;
+            let out = self.eval.eval(&functions[g.index()], &|v| {
+                let nid = inputs[v.index()].index();
+                (iv[nid], &supports[nid * words..][..words])
+            });
+            self.eval.stack.clear();
+            iv[inst.output.index()] = out;
+        }
+        iv
     }
-    (det.lo, det.hi)
+
+    /// Certified `[low, high]` detection-probability bounds for one fault:
+    /// interval-propagates the faulty cone over the good-machine intervals
+    /// and bounds the OR of per-output XOR events with Fréchet rules.
+    fn fault_bounds(
+        &mut self,
+        net: &Network,
+        functions: &[Bexpr],
+        fault: &NetworkFault,
+        prepared: &PreparedFault<'_>,
+        good_iv: &[Interval],
+    ) -> Interval {
+        let Self {
+            supports,
+            faulty,
+            faulty_supp,
+            eval,
+        } = self;
+        let words = eval.words;
+        faulty.clear();
+        if let NetworkFault::NetStuck(netid, v) = fault {
+            let p = if *v { 1.0 } else { 0.0 };
+            faulty.set(netid.index(), (p, p));
+            faulty_supp[netid.index() * words..][..words].fill(0);
+        }
+        for &pos in prepared.cone_positions() {
+            let g = net.topo_order()[pos as usize];
+            let inst = &net.gates()[g.index()];
+            let function = match fault {
+                NetworkFault::GateFunction(fg, f) if *fg == g => f,
+                _ => &functions[g.index()],
+            };
+            let inputs = &inst.inputs;
+            let out = eval.eval(function, &|v| {
+                let nid = inputs[v.index()].index();
+                match faulty.get(nid) {
+                    Some(iv) => (iv, &faulty_supp[nid * words..][..words]),
+                    None => (good_iv[nid], &supports[nid * words..][..words]),
+                }
+            });
+            let out_idx = inst.output.index();
+            let stuck_here =
+                matches!(fault, NetworkFault::NetStuck(nid, _) if nid.index() == out_idx);
+            if !stuck_here {
+                faulty.set(out_idx, out);
+                faulty_supp[out_idx * words..][..words].copy_from_slice(&eval.stack);
+            }
+            eval.stack.clear();
+        }
+        // Detection = OR over observable outputs of XOR(good, faulty).
+        let mut det = eval.constant(false);
+        for &po_idx in prepared.observable_outputs() {
+            let po = net.primary_outputs()[po_idx as usize].index();
+            // The faulty machine equals the good machine where the fault
+            // never wrote: the XOR is identically false there.
+            let Some(bad) = faulty.get(po) else {
+                continue;
+            };
+            eval.stack
+                .extend_from_slice(&supports[po * words..][..words]);
+            eval.stack
+                .extend_from_slice(&faulty_supp[po * words..][..words]);
+            let x = xor_iv(good_iv[po], bad, eval.merge());
+            det = or_iv(det, x, eval.merge());
+        }
+        eval.stack.clear();
+        det
+    }
 }
 
 #[cfg(test)]
@@ -1119,6 +1172,12 @@ mod tests {
             Some(TierMode::Cutting)
         );
         assert!(std::panic::catch_unwind(|| parse_testability_override(Some("fast"))).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the cap")]
+    fn oversized_tighten_samples_panic() {
+        let _ = TestabilityConfig::default().with_mc_tighten_samples(MAX_TIGHTEN_SAMPLES + 1);
     }
 
     #[test]

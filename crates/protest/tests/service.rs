@@ -378,35 +378,55 @@ fn mistyped_kernel_parameters_are_rejected() {
 /// unbudgeted first fault outrun `timeout_ms`.
 #[test]
 fn mistyped_or_oversized_max_exact_rows_is_rejected() {
+    assert_only_valid_values_queue(
+        "detect",
+        "max_exact_rows",
+        &[
+            r#""4096""#,
+            "1e15",
+            "1099511627776",
+            "16777217",
+            "-1",
+            "1.5",
+            "null",
+        ],
+        &["0", "4096", "16777216"],
+    );
+}
+
+/// `tighten_samples` is capped at 2^16: the cutting tier's sample bank
+/// is drawn outside the leg budget.
+#[test]
+fn mistyped_or_oversized_tighten_samples_is_rejected() {
+    assert_only_valid_values_queue(
+        "testability",
+        "tighten_samples",
+        &[r#""4096""#, "1e15", "65537", "-1", "1.5", "null"],
+        &["0", "4096", "65536"],
+    );
+}
+
+/// Submits a `kind` job on a small adder once per value of `key`: every
+/// `bad` value is refused at admission with an error naming the key,
+/// every `good` one queues.
+fn assert_only_valid_values_queue(kind: &str, key: &str, bad: &[&str], good: &[&str]) {
     let mut engine = JobEngine::new(test_config());
     let bench = Json::str(ripple_adder_bench_text(2));
-    let request =
-        |rows: &str| format!(r#"{{"kind":"detect","netlist":{bench},"max_exact_rows":{rows}}}"#);
-    for bad in [
-        r#""4096""#,
-        "1e15",
-        "1099511627776",
-        "16777217",
-        "-1",
-        "1.5",
-        "null",
-    ] {
-        let verdict = engine.submit_json(&Json::parse(&request(bad)).unwrap());
+    let request = |v: &str| format!(r#"{{"kind":"{kind}","netlist":{bench},"{key}":{v}}}"#);
+    for v in bad {
+        let verdict = engine.submit_json(&Json::parse(&request(v)).unwrap());
         assert_eq!(
             verdict.get("ok").and_then(Json::as_bool),
             Some(false),
-            "max_exact_rows={bad} admitted: {verdict}"
+            "{key}={v} admitted: {verdict}"
         );
         let error = verdict.get("error").and_then(Json::as_str).unwrap();
-        assert!(
-            error.contains("max_exact_rows"),
-            "error {error:?} does not name the key"
-        );
+        assert!(error.contains(key), "error {error:?} does not name the key");
     }
-    for good in ["0", "4096", "16777216"] {
-        submit_ok(&mut engine, &request(good));
+    for v in good {
+        submit_ok(&mut engine, &request(v));
     }
-    assert_eq!(engine.pending(), 3, "only the valid caps queue");
+    assert_eq!(engine.pending(), good.len(), "only the valid values queue");
 }
 
 /// Backoff delays are deterministic, exponential up to the cap, and

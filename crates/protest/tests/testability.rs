@@ -3,12 +3,15 @@
 //! acceptance run on `ripple_adder(80)`, and the `testability` service
 //! kernel's snapshot/restore durability contract.
 
-use dynmos_netlist::generate::{carry_chain, random_domino_network, ripple_adder};
+use dynmos_netlist::generate::{
+    carry_chain, random_domino_network, ripple_adder, ripple_adder_bench_text,
+};
+use dynmos_netlist::{parse_bench, Network};
 use dynmos_protest::service::build_builtin;
 use dynmos_protest::{
-    network_fault_list, optimize_input_probabilities_with, stuck_fault_list, DetectionEngine,
-    EstimateMethod, ExactDetector, JobContext, Json, Parallelism, RunBudget, RunStatus,
-    TestabilityConfig, TierMode,
+    mc_detection_probabilities, network_fault_list, optimize_input_probabilities_with,
+    stuck_fault_list, DetectionEngine, DetectionEstimate, EstimateMethod, ExactDetector,
+    FaultEntry, JobContext, Json, Parallelism, RunBudget, RunStatus, TestabilityConfig, TierMode,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -79,6 +82,104 @@ proptest! {
     }
 }
 
+/// The bench-form 16-bit adder (the shape the service parses) and a few
+/// random domino networks, each with the fault list its format gets and
+/// a node budget at which `Auto` serves faults from both BDD and cutting.
+fn cutting_corpus() -> Vec<(Network, Vec<FaultEntry>, usize)> {
+    let adder = parse_bench(&ripple_adder_bench_text(16)).expect("generated bench parses");
+    let adder_faults = stuck_fault_list(&adder);
+    let mut corpus = vec![(adder, adder_faults, 20_000)];
+    for seed in [3, 11, 29] {
+        let net = random_domino_network(seed, 6, 9);
+        let faults = network_fault_list(&net);
+        corpus.push((net, faults, 60));
+    }
+    corpus
+}
+
+/// Cutting-tier tightening draws one shared sample bank per query: every
+/// cutting estimate with a non-point interval equals, bit for bit, its
+/// fault's entry of `mc_detection_probabilities` at the engine seed,
+/// clamped into the certified bounds. Sample counts around one lane word
+/// cover the bank's tail masks; `Auto` at a tight node budget mixes the
+/// BDD tier in, so the bank cannot depend on which faults it served.
+#[test]
+fn cutting_tightening_matches_shared_stream_oracle() {
+    const SEED: u64 = 0x5EED;
+    // No exact tier: `Auto` must go symbolic even on the small networks.
+    let budget = RunBudget::unlimited().with_max_exact_rows(1);
+    for (net, faults, tight) in cutting_corpus() {
+        let probs = skewed_probs(net.primary_inputs().len());
+        for (mode, nodes) in [(TierMode::Cutting, 1 << 20), (TierMode::Auto, tight)] {
+            let (mut tiers, mut tightened) = ([0usize; 2], 0);
+            for samples in [1, 63, 64, 65, 4096] {
+                let config = TestabilityConfig::new(mode)
+                    .with_node_budget(nodes)
+                    .with_mc_tighten_samples(samples)
+                    .with_seed(SEED);
+                let est = DetectionEngine::new(&net, &faults, config)
+                    .estimates(&probs, &budget)
+                    .expect("unlimited budget cannot interrupt");
+                let oracle = mc_detection_probabilities(&net, &faults, &probs, SEED, samples);
+                tiers = [0, 0];
+                for (i, (e, mc)) in est.iter().zip(&oracle).enumerate() {
+                    let Some((lo, hi)) = e.bounds else {
+                        assert_eq!(e.method, EstimateMethod::Bdd);
+                        tiers[0] += 1;
+                        continue;
+                    };
+                    tiers[1] += 1;
+                    if hi - lo < 1e-12 {
+                        continue;
+                    }
+                    let ctx = format!("{mode:?} S={samples} fault {i} ({})", faults[i].label);
+                    assert_eq!(e.value.to_bits(), mc.value.clamp(lo, hi).to_bits(), "{ctx}");
+                    let std_error = mc.std_error().min(0.5 * (hi - lo));
+                    assert_eq!(e.std_error.to_bits(), std_error.to_bits(), "{ctx}");
+                    tightened += 1;
+                }
+            }
+            assert!(
+                tiers[1] > 0 && tightened > 0,
+                "{mode:?}: no cutting fault checked"
+            );
+            if mode == TierMode::Auto {
+                assert!(tiers[0] > 0, "node budget {nodes} left no BDD fault");
+            }
+        }
+    }
+}
+
+/// Resuming a tightened cutting run at any fault boundary, in a fresh
+/// engine, reproduces the full run bit for bit: the shared sample bank
+/// does not depend on which faults were estimated before it.
+#[test]
+fn tightened_cutting_resumes_bit_identical_at_every_fault() {
+    let bits = |e: &DetectionEstimate| {
+        let (lo, hi) = e.bounds.expect("cutting reports bounds");
+        [e.value, e.std_error, lo, hi].map(f64::to_bits)
+    };
+    for (net, faults, _) in cutting_corpus() {
+        let probs = skewed_probs(net.primary_inputs().len());
+        let config = TestabilityConfig::new(TierMode::Cutting).with_seed(7);
+        let full = DetectionEngine::new(&net, &faults, config.clone())
+            .estimates(&probs, &RunBudget::unlimited())
+            .expect("unlimited budget cannot interrupt");
+        for start in 0..faults.len() {
+            let mut engine = DetectionEngine::new(&net, &faults, config.clone());
+            let mut next = start;
+            let status =
+                engine.estimates_from(start, &probs, &RunBudget::unlimited(), &mut |i, e| {
+                    assert_eq!(i, next);
+                    assert_eq!(bits(&e), bits(&full[i]), "resumed at {start}: fault {i}");
+                    next += 1;
+                });
+            assert!(status.is_complete());
+            assert_eq!(next, faults.len());
+        }
+    }
+}
+
 /// The paper-scale acceptance run: weight optimization on
 /// `ripple_adder(80)` — 161 inputs, far beyond any exact enumeration —
 /// completes under a finite `RunBudget` on the symbolic tiers, with a
@@ -123,7 +224,7 @@ fn testability_kernel_resumes_bit_identical_from_snapshots() {
     let net = Arc::new(carry_chain(20)); // 41 inputs: symbolic tiers
     let faults = stuck_fault_list(&net);
     // A small node budget plus tightening samples exercises all of
-    // bdd, cutting, and the per-fault-seeded sampler across resumes.
+    // bdd, cutting, and the shared tightening sample bank across resumes.
     let params =
         Json::parse(r#"{"seed":7,"mode":"auto","node_budget":600,"tighten_samples":128}"#).unwrap();
     let make = || {
