@@ -139,9 +139,9 @@ fn bench_e7_protest(c: &mut Criterion) {
     });
     c.bench_function("e7_detection_bdd", |b| {
         b.iter(|| {
-            std::hint::black_box(dynmos_protest::bdd_detection_probability(
-                &net, fault, &uniform,
-            ))
+            let mut engine =
+                DetectionEngine::new(&net, &faults[..1], TestabilityConfig::new(TierMode::Bdd));
+            std::hint::black_box(engine.estimates(&uniform, &RunBudget::unlimited()))
         })
     });
     c.bench_function("e7_detection_monte_carlo_10k", |b| {

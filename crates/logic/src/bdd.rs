@@ -433,10 +433,9 @@ impl Bdd {
     }
 
     /// [`probability`](Self::probability) with a caller-owned memo table,
-    /// so a streaming caller evaluating one root at a time still shares
-    /// work across roots the way [`probabilities_many`] does.
-    ///
-    /// [`probabilities_many`]: Self::probabilities_many
+    /// so a caller evaluating many roots one at a time (the per-fault
+    /// detectability functions over one good machine) evaluates nodes
+    /// common to several roots once.
     pub fn probability_memo(
         &self,
         r: BddRef,
@@ -447,21 +446,6 @@ impl Bdd {
             assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
         }
         self.prob_rec(r, probs, memo)
-    }
-
-    /// [`probability`](Self::probability) over many roots at once,
-    /// sharing one memo table: nodes common to several functions (the
-    /// normal case for per-fault detectability functions over one good
-    /// machine) are evaluated once.
-    pub fn probabilities_many(&self, roots: &[BddRef], probs: &[f64]) -> Vec<f64> {
-        for &p in probs {
-            assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
-        }
-        let mut memo: HashMap<BddRef, f64> = HashMap::new();
-        roots
-            .iter()
-            .map(|&r| self.prob_rec(r, probs, &mut memo))
-            .collect()
     }
 
     fn prob_rec(&self, r: BddRef, probs: &[f64], memo: &mut HashMap<BddRef, f64>) -> f64 {
@@ -549,24 +533,29 @@ impl Bdd {
         }
     }
 
-    /// One satisfying assignment (as a dense word), or `None` for the
-    /// constant-false function. Unset variables default to 0.
-    pub fn any_sat(&self, r: BddRef) -> Option<u64> {
+    /// One satisfying assignment over variables `0..nvars` (entry `v` is
+    /// the value of `VarId(v)`), or `None` for the constant-false
+    /// function. Variables the path skips default to `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function references a variable `>= nvars`.
+    pub fn any_sat(&self, r: BddRef, nvars: usize) -> Option<Vec<bool>> {
         if r == BddRef::FALSE {
             return None;
         }
-        let mut word = 0u64;
+        let mut assignment = vec![false; nvars];
         let mut cur = r;
         while !cur.is_const() {
             let n = self.node(cur);
             if n.hi != BddRef::FALSE {
-                word |= 1 << n.var;
+                assignment[n.var as usize] = true;
                 cur = n.hi;
             } else {
                 cur = n.lo;
             }
         }
-        Some(word)
+        Some(assignment)
     }
 }
 
@@ -670,15 +659,44 @@ mod tests {
             );
         }
         // any_sat yields a test pattern for the fault.
-        let test = bdd.any_sat(diff).expect("fault is testable");
-        assert_ne!(good.eval_word(test), faulty.eval_word(test));
+        let test = bdd.any_sat(diff, 5).expect("fault is testable");
+        let word = test
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (i, &b)| w | (u64::from(b) << i));
+        assert_ne!(good.eval_word(word), faulty.eval_word(word));
     }
 
     #[test]
     fn any_sat_none_for_false() {
         let bdd = Bdd::new();
-        assert_eq!(bdd.any_sat(BddRef::FALSE), None);
-        assert_eq!(bdd.any_sat(BddRef::TRUE), Some(0));
+        assert_eq!(bdd.any_sat(BddRef::FALSE, 2), None);
+        assert_eq!(bdd.any_sat(BddRef::TRUE, 2), Some(vec![false, false]));
+    }
+
+    #[test]
+    fn any_sat_past_64_variables() {
+        // A 70-variable AND chain has exactly one satisfying row: all
+        // ones, six of them past what one 64-bit word could hold.
+        let mut bdd = Bdd::new();
+        let mut acc = BddRef::TRUE;
+        for i in 0..70u32 {
+            let v = bdd.var(VarId(i));
+            acc = bdd.and(acc, v);
+        }
+        assert_eq!(bdd.any_sat(acc, 70), Some(vec![true; 70]));
+        // With the last variable negated, only v69 must be false.
+        let last = bdd.var(VarId(69));
+        let not_last = bdd.not(last);
+        let mut head = BddRef::TRUE;
+        for i in 0..69u32 {
+            let v = bdd.var(VarId(i));
+            head = bdd.and(head, v);
+        }
+        let f = bdd.and(head, not_last);
+        let mut expect = vec![true; 70];
+        expect[69] = false;
+        assert_eq!(bdd.any_sat(f, 70), Some(expect));
     }
 
     #[test]
@@ -785,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_many_matches_scalar() {
+    fn shared_memo_matches_scalar() {
         let mut vars = VarTable::new();
         let e1 = parse_expr("a*(b+/c)+d", &mut vars).unwrap();
         let e2 = parse_expr("a*b+c*d", &mut vars).unwrap();
@@ -793,7 +811,12 @@ mod tests {
         let r1 = bdd.from_expr(&e1);
         let r2 = bdd.from_expr(&e2);
         let probs = vec![0.15, 0.35, 0.55, 0.75];
-        let many = bdd.probabilities_many(&[r1, r2, BddRef::TRUE], &probs);
+        // One memo shared across the roots gives the scalar values.
+        let mut memo = HashMap::new();
+        let many: Vec<f64> = [r1, r2, BddRef::TRUE]
+            .iter()
+            .map(|&r| bdd.probability_memo(r, &probs, &mut memo))
+            .collect();
         assert_eq!(many[0], bdd.probability(r1, &probs));
         assert_eq!(many[1], bdd.probability(r2, &probs));
         assert_eq!(many[2], 1.0);

@@ -765,14 +765,31 @@ mod tests {
             .with_parallelism(Parallelism::Serial)
             .estimates(&probs, &RunBudget::unlimited().with_max_exact_rows(1 << 12))
             .expect("completes");
+        let bounds = DetectionEngine::new(
+            &net,
+            &list,
+            TestabilityConfig::new(TierMode::Cutting).with_mc_tighten_samples(0),
+        )
+        .estimates(&probs, &RunBudget::unlimited())
+        .expect("completes");
         assert_eq!(est.len(), list.len());
-        for (e, entry) in est.iter().zip(&list) {
+        for ((e, cut), entry) in est.iter().zip(&bounds).zip(&list) {
             assert_eq!(e.method, EstimateMethod::Bdd, "{}", entry.label);
             assert_eq!(e.std_error, 0.0);
-            let reference = crate::symbolic::bdd_detection_probability(&net, &entry.fault, &probs);
+            // Reference: the fault alone in a forced-BDD engine gives the
+            // same value, and that value lies in the certified bounds.
+            let alone = DetectionEngine::new(
+                &net,
+                std::slice::from_ref(entry),
+                TestabilityConfig::new(TierMode::Bdd),
+            )
+            .estimates(&probs, &RunBudget::unlimited())
+            .expect("completes");
+            assert_eq!(e.value, alone[0].value, "{}", entry.label);
+            let (lo, hi) = cut.bounds.expect("cutting reports bounds");
             assert!(
-                (e.value - reference).abs() < 1e-12,
-                "{}: {} vs {reference}",
+                lo - 1e-12 <= e.value && e.value <= hi + 1e-12,
+                "{}: {} outside [{lo}, {hi}]",
                 entry.label,
                 e.value
             );

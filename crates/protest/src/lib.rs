@@ -8,7 +8,9 @@
 //!    ([`signal_probabilities`], plus the exact oracle
 //!    [`exact_signal_probability`]),
 //! 2. estimates each fault's **detection probability**
-//!    ([`detection_probabilities`]),
+//!    ([`detection_probabilities`]; past the enumeration wall the tiered
+//!    [`DetectionEngine`] serves exact BDD values or certified cutting
+//!    bounds, and reads deterministic test patterns off the same BDDs),
 //! 3. computes the **test length** needed for a demanded confidence
 //!    ([`test_length`]),
 //! 4. **optimizes the input signal probabilities**, "reducing the
@@ -53,7 +55,6 @@ pub mod optimize;
 pub mod parallel;
 pub mod random;
 pub mod service;
-pub mod symbolic;
 pub mod testability;
 
 pub use budget::{env_budget_ms, RunBudget, RunStatus, StopReason, DEFAULT_EXACT_ROWS};
@@ -87,11 +88,7 @@ pub use service::{
     BackoffPolicy, CacheStats, EngineConfig, Job, JobContext, JobEngine, JobKernel, JobRecord,
     JobStatus, Json, NetlistFormat, NetworkCache, Rejection,
 };
-pub use symbolic::{
-    bdd_detection_probabilities, bdd_detection_probability, bdd_signal_probability,
-    bdd_test_pattern,
-};
 pub use testability::{
-    env_testability, tier_census, DetectionEngine, TestabilityConfig, TierMode,
+    env_testability, tier_census, DetectionEngine, TestPattern, TestabilityConfig, TierMode,
     DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES, MAX_TIGHTEN_SAMPLES,
 };

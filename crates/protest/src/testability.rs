@@ -31,7 +31,11 @@
 //!    mean clamped into the certified interval).
 //!
 //! Tier selection per (circuit, fault) is automatic and every estimate
-//! carries its provenance in [`DetectionEstimate::method`]. The
+//! carries its provenance in [`DetectionEstimate::method`]. The BDD tier
+//! also yields deterministic **test patterns**: any satisfying assignment
+//! of a fault's difference BDD detects it, and a `FALSE` difference
+//! proves it redundant ([`DetectionEngine::test_pattern`]) — a second
+//! ATPG engine beside the PODEM search. The
 //! `DYNMOS_TESTABILITY` environment variable (`auto`, `exact`, `bdd`,
 //! `cutting`) forces a tier for the whole process — CI runs one leg with
 //! `DYNMOS_TESTABILITY=bdd` to drive the symbolic tier over the entire
@@ -220,6 +224,19 @@ pub fn tier_census<'a>(methods: impl IntoIterator<Item = &'a EstimateMethod>) ->
     format!("exact:{exact},bdd:{bdd},cutting:{cutting},mc:{mc}")
 }
 
+/// What [`DetectionEngine::test_pattern`] found for one fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TestPattern {
+    /// Primary-input values, in primary-input order, that detect the
+    /// fault.
+    Pattern(Vec<bool>),
+    /// The difference BDD is `FALSE`: no input pattern detects the fault.
+    Redundant,
+    /// The fault has no difference BDD: the engine's plan is exact, its
+    /// mode is cutting, or the fault overflowed the node budget.
+    NoBdd,
+}
+
 /// How many faults the exact tier enumerates between budget checks.
 const EXACT_BLOCK: usize = 64;
 
@@ -243,7 +260,8 @@ struct SymbolicState {
     /// Per-net good-machine function; only valid when `good_ok`.
     good: Vec<BddRef>,
     /// `false` when the good machine itself overflowed the node budget
-    /// (or the mode is cutting-only): every fault takes the cutting tier.
+    /// (or the mode is cutting-only): every fault resolves to the
+    /// cutting tier.
     good_ok: bool,
     tiers: Vec<FaultTier>,
     /// The current fault's cone functions while its difference is built.
@@ -352,6 +370,56 @@ impl<'n> DetectionEngine<'n> {
             unreachable!("resolved above")
         };
         self.run_exact(det, start, pi_probs, budget, sink)
+    }
+
+    /// A deterministic test pattern for fault `index` of the engine's
+    /// list, read off the fault's difference BDD: one satisfying
+    /// assignment, mapped from BDD variable order back to primary-input
+    /// order. Build the engine with [`TierMode::Bdd`] to get patterns on
+    /// circuits that `Auto` would enumerate; the tier plan is frozen by
+    /// the first call to this method or to [`estimates`](Self::estimates).
+    ///
+    /// A fault with no stored difference (not yet estimated, or demoted
+    /// to cutting) gets one built on top of the store and rolled back
+    /// afterwards, so asking for patterns does not use up the node
+    /// budget. A found pattern depends only on the fault and the
+    /// variable order (reduced ordered BDDs are canonical), not on which
+    /// faults the engine served before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn test_pattern(&mut self, index: usize) -> TestPattern {
+        assert!(
+            index < self.faults.len(),
+            "fault index {index} out of range for {} faults",
+            self.faults.len()
+        );
+        self.ensure_resolved(&RunBudget::unlimited());
+        let Some(Resolved::Symbolic(state)) = self.resolved.as_mut() else {
+            return TestPattern::NoBdd;
+        };
+        if !state.good_ok {
+            return TestPattern::NoBdd;
+        }
+        let mark = state.bdd.mark();
+        let root = match state.tiers[index] {
+            FaultTier::Bdd(root) => Ok(root),
+            _ => {
+                let fault = &self.faults[index].fault;
+                state.build_diff(self.net, fault, &self.net.prepare_fault(fault))
+            }
+        };
+        let var_of_pi = &state.var_of_pi;
+        let pattern = match root.map(|r| state.bdd.any_sat(r, var_of_pi.len())) {
+            Ok(Some(by_var)) => {
+                TestPattern::Pattern(var_of_pi.iter().map(|&v| by_var[v as usize]).collect())
+            }
+            Ok(None) => TestPattern::Redundant,
+            Err(_) => TestPattern::NoBdd,
+        };
+        state.bdd.truncate(mark);
+        pattern
     }
 
     /// Decides the exact-vs-symbolic split once and freezes it, so tier
@@ -496,7 +564,6 @@ impl SymbolicState {
         for (i, &p) in pi_probs.iter().enumerate() {
             ordered[self.var_of_pi[i] as usize] = p;
         }
-        let forced_cut = config.mode == TierMode::Cutting || !self.good_ok;
         // The cutting tier's good-machine intervals and Monte Carlo bank
         // depend on pi_probs: each is built at most once per call.
         let mut good_iv: Option<Vec<Interval>> = None;
@@ -517,11 +584,7 @@ impl SymbolicState {
                 _ => Some(net.prepare_fault(fault)),
             };
             if let (FaultTier::Unresolved, Some(prepared)) = (self.tiers[i], &prepared) {
-                self.tiers[i] = if forced_cut {
-                    FaultTier::Cutting
-                } else {
-                    self.resolve(net, fault, prepared)
-                };
+                self.tiers[i] = self.resolve(net, fault, prepared);
             }
             let est = match self.tiers[i] {
                 FaultTier::Unresolved => unreachable!("resolved above"),
@@ -555,30 +618,72 @@ impl SymbolicState {
     }
 
     /// Resolves a fault's tier: build its difference BDD, rolling the
-    /// node store back and demoting to cutting on overflow.
+    /// node store back and demoting to cutting on overflow (or at once,
+    /// without a good machine).
     fn resolve(
         &mut self,
         net: &Network,
         fault: &NetworkFault,
         prepared: &PreparedFault<'_>,
     ) -> FaultTier {
+        if !self.good_ok {
+            return FaultTier::Cutting;
+        }
         let mark = self.bdd.mark();
-        let built = build_diff(
-            net,
-            &mut self.bdd,
-            &self.functions,
-            &self.good,
-            &mut self.faulty,
-            fault,
-            prepared,
-        );
-        match built {
+        match self.build_diff(net, fault, prepared) {
             Ok(root) => FaultTier::Bdd(root),
             Err(_) => {
                 self.bdd.truncate(mark);
                 FaultTier::Cutting
             }
         }
+    }
+
+    /// Rebuilds only the fault's fanout cone with the fault injected and
+    /// returns the Boolean difference (OR of XORs at the observable
+    /// outputs). `FALSE` proves the fault undetectable. The cone's
+    /// functions live in the `faulty` overlay while the difference is
+    /// built.
+    fn build_diff(
+        &mut self,
+        net: &Network,
+        fault: &NetworkFault,
+        prepared: &PreparedFault<'_>,
+    ) -> Result<BddRef, dynmos_logic::BddOverflow> {
+        let (bdd, good, faulty) = (&mut self.bdd, &self.good, &mut self.faulty);
+        faulty.clear();
+        if let NetworkFault::NetStuck(netid, v) = fault {
+            faulty.set(netid.index(), if *v { BddRef::TRUE } else { BddRef::FALSE });
+        }
+        for &pos in prepared.cone_positions() {
+            let g = net.topo_order()[pos as usize];
+            let inst = &net.gates()[g.index()];
+            let function = match fault {
+                NetworkFault::GateFunction(fg, f) if *fg == g => f,
+                _ => &self.functions[g.index()],
+            };
+            let inputs = &inst.inputs;
+            let out = bdd.try_eval_expr_over(function, &|v| {
+                let nid = inputs[v.index()].index();
+                faulty.get(nid).unwrap_or(good[nid])
+            })?;
+            let out_idx = inst.output.index();
+            // A stuck net stays stuck regardless of what its readers see
+            // upstream; never overwrite the forced constant.
+            let stuck_here =
+                matches!(fault, NetworkFault::NetStuck(nid, _) if nid.index() == out_idx);
+            if !stuck_here {
+                faulty.set(out_idx, out);
+            }
+        }
+        let mut diff = BddRef::FALSE;
+        for &po_idx in prepared.observable_outputs() {
+            let po = net.primary_outputs()[po_idx as usize].index();
+            let bad = faulty.get(po).unwrap_or(good[po]);
+            let x = bdd.try_xor(good[po], bad)?;
+            diff = bdd.try_or(diff, x)?;
+        }
+        Ok(diff)
     }
 }
 
@@ -683,53 +788,6 @@ fn fanin_dfs_order(net: &Network) -> Vec<usize> {
         }
     }
     order
-}
-
-/// Rebuilds only the fault's fanout cone with the fault injected and
-/// returns the Boolean difference (OR of XORs at the observable
-/// outputs). `FALSE` proves the fault undetectable. `faulty` is scratch:
-/// the cone's functions live there while the difference is built.
-fn build_diff(
-    net: &Network,
-    bdd: &mut Bdd,
-    functions: &[Bexpr],
-    good: &[BddRef],
-    faulty: &mut Overlay<BddRef>,
-    fault: &NetworkFault,
-    prepared: &PreparedFault<'_>,
-) -> Result<BddRef, dynmos_logic::BddOverflow> {
-    faulty.clear();
-    if let NetworkFault::NetStuck(netid, v) = fault {
-        faulty.set(netid.index(), if *v { BddRef::TRUE } else { BddRef::FALSE });
-    }
-    for &pos in prepared.cone_positions() {
-        let g = net.topo_order()[pos as usize];
-        let inst = &net.gates()[g.index()];
-        let function = match fault {
-            NetworkFault::GateFunction(fg, f) if *fg == g => f,
-            _ => &functions[g.index()],
-        };
-        let inputs = &inst.inputs;
-        let out = bdd.try_eval_expr_over(function, &|v| {
-            let nid = inputs[v.index()].index();
-            faulty.get(nid).unwrap_or(good[nid])
-        })?;
-        let out_idx = inst.output.index();
-        // A stuck net stays stuck regardless of what its readers see
-        // upstream; never overwrite the forced constant.
-        let stuck_here = matches!(fault, NetworkFault::NetStuck(nid, _) if nid.index() == out_idx);
-        if !stuck_here {
-            faulty.set(out_idx, out);
-        }
-    }
-    let mut diff = BddRef::FALSE;
-    for &po_idx in prepared.observable_outputs() {
-        let po = net.primary_outputs()[po_idx as usize].index();
-        let bad = faulty.get(po).unwrap_or(good[po]);
-        let x = bdd.try_xor(good[po], bad)?;
-        diff = bdd.try_or(diff, x)?;
-    }
-    Ok(diff)
 }
 
 // ---------------------------------------------------------------------

@@ -1,17 +1,22 @@
 //! Integration tests of the tiered testability engine: differential
-//! properties against the exact detector, the paper-scale optimizer
-//! acceptance run on `ripple_adder(80)`, and the `testability` service
-//! kernel's snapshot/restore durability contract.
+//! properties against the exact detector, a cross-tier oracle above the
+//! row cap (BDD values inside the cutting bounds and the Monte Carlo
+//! intervals), BDD test patterns against PODEM and the fault simulator,
+//! the paper-scale optimizer acceptance run on `ripple_adder(80)`, and
+//! the `testability` service kernel's snapshot/restore durability
+//! contract.
 
+use dynmos_atpg::{generate_test, AtpgOutcome};
 use dynmos_netlist::generate::{
-    carry_chain, random_domino_network, ripple_adder, ripple_adder_bench_text,
+    and_or_tree, carry_chain, random_domino_network, ripple_adder, ripple_adder_bench_text,
 };
 use dynmos_netlist::{parse_bench, Network};
 use dynmos_protest::service::build_builtin;
 use dynmos_protest::{
     mc_detection_probabilities, network_fault_list, optimize_input_probabilities_with,
     stuck_fault_list, DetectionEngine, DetectionEstimate, EstimateMethod, ExactDetector,
-    FaultEntry, JobContext, Json, Parallelism, RunBudget, RunStatus, TestabilityConfig, TierMode,
+    FaultEntry, FaultSimulator, JobContext, Json, Parallelism, RunBudget, RunStatus, TestPattern,
+    TestabilityConfig, TierMode, DEFAULT_NODE_BUDGET,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -178,6 +183,95 @@ fn tightened_cutting_resumes_bit_identical_at_every_fault() {
             assert_eq!(next, faults.len());
         }
     }
+}
+
+/// Above the row cap no enumeration can serve as the oracle, so the
+/// tiers check each other: every BDD-tier value lies inside the cutting
+/// tier's certified bounds and within three half-widths of the Monte
+/// Carlo estimate at a fixed seed. The node budget is raised so that
+/// every fault of the 61-input chain is served exactly (at the default
+/// budget the shared store fills and late faults fall to cutting).
+#[test]
+fn bdd_tier_agrees_with_cutting_bounds_and_monte_carlo_above_row_cap() {
+    for net in [and_or_tree(5), carry_chain(30)] {
+        let n = net.primary_inputs().len();
+        assert!(n > 24, "{n} inputs fit exact enumeration");
+        let faults = network_fault_list(&net);
+        let probs = skewed_probs(n);
+        let estimates = |config: TestabilityConfig| {
+            DetectionEngine::new(&net, &faults, config)
+                .estimates(&probs, &RunBudget::unlimited())
+                .expect("unlimited budget cannot interrupt")
+        };
+        let bdd = estimates(
+            TestabilityConfig::new(TierMode::Bdd).with_node_budget(4 * DEFAULT_NODE_BUDGET),
+        );
+        let cut = estimates(TestabilityConfig::new(TierMode::Cutting).with_mc_tighten_samples(0));
+        let mc = mc_detection_probabilities(&net, &faults, &probs, 0x0AC1E, 20_000);
+        for (i, entry) in faults.iter().enumerate() {
+            let ctx = format!("{n} inputs, {}", entry.label);
+            assert_eq!(bdd[i].method, EstimateMethod::Bdd, "{ctx}: not BDD-served");
+            let value = bdd[i].value;
+            let (lo, hi) = cut[i].bounds.expect("cutting reports bounds");
+            assert!(
+                lo - 1e-12 <= value && value <= hi + 1e-12,
+                "{ctx}: {value} outside [{lo}, {hi}]"
+            );
+            assert!(
+                (value - mc[i].value).abs() <= 3.0 * mc[i].half_width.max(1e-3),
+                "{ctx}: {value} vs Monte Carlo {:?}",
+                mc[i]
+            );
+        }
+    }
+}
+
+/// Checks every fault's BDD test pattern: a pattern must detect its
+/// fault under the fault simulator, and the engine reports a fault
+/// redundant exactly when PODEM proves it so. PODEM runs with
+/// `max_backtracks` (0 = unlimited); when capped, an aborted search is
+/// accepted beside a pattern the simulator confirms.
+fn assert_patterns_agree_with_podem(net: &Network, max_backtracks: u64) {
+    let faults = network_fault_list(net);
+    let mut engine = DetectionEngine::new(net, &faults, TestabilityConfig::new(TierMode::Bdd));
+    let sim = FaultSimulator::new(net);
+    for (i, entry) in faults.iter().enumerate() {
+        match (
+            engine.test_pattern(i),
+            generate_test(net, &entry.fault, max_backtracks),
+        ) {
+            (TestPattern::Pattern(pattern), podem)
+                if matches!(podem, AtpgOutcome::Test(_))
+                    || (max_backtracks > 0 && podem == AtpgOutcome::Aborted) =>
+            {
+                let out = sim.run_patterns(std::slice::from_ref(entry), &[pattern]);
+                assert_eq!(out.coverage(), 1.0, "{}: BDD pattern misses", entry.label);
+            }
+            (TestPattern::Redundant, AtpgOutcome::Redundant) => {}
+            (bdd, podem) => panic!("{}: engines disagree: {bdd:?} vs {podem:?}", entry.label),
+        }
+    }
+}
+
+/// BDD test patterns on random domino networks agree with an unbounded
+/// PODEM: every fault gets a test from both engines or is redundant in
+/// both.
+#[test]
+fn bdd_atpg_agrees_with_podem() {
+    for seed in 0..4 {
+        assert_patterns_agree_with_podem(&random_domino_network(seed, 3, 4), 0);
+    }
+}
+
+/// Patterns stay correct past 64 inputs: `ripple_adder(40)` has 81, so
+/// BDD variables beyond one machine word carry pattern bits. PODEM is
+/// capped at 100 backtracks (ripple carries make some searches
+/// exponential).
+#[test]
+fn engine_patterns_detect_every_ripple_adder_40_fault() {
+    let net = ripple_adder(40);
+    assert_eq!(net.primary_inputs().len(), 81);
+    assert_patterns_agree_with_podem(&net, 100);
 }
 
 /// The paper-scale acceptance run: weight optimization on

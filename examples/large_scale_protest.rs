@@ -6,17 +6,22 @@
 //! example analyzes a 61-input carry chain (impossible to enumerate:
 //! 2^61 rows) three ways and shows they agree where they overlap:
 //!
-//! * exact BDD-based detection probabilities (linear in BDD size here),
+//! * exact detection probabilities from the tiered `DetectionEngine`
+//!   forced to its BDD tier (linear in BDD size here), each labelled by
+//!   the tier that served it,
 //! * Monte Carlo estimates with confidence intervals,
-//! * BDD-extracted deterministic test patterns, cross-checked against
-//!   the PODEM engine.
+//! * deterministic test patterns read off the same engine's difference
+//!   BDDs, cross-checked against the PODEM engine.
 //!
 //! Run with: `cargo run --release --example large_scale_protest`
 
 use dynmos::atpg::{generate_test, AtpgOutcome};
 use dynmos::netlist::generate::carry_chain;
-use dynmos::protest::symbolic::{bdd_detection_probability, bdd_test_pattern};
-use dynmos::protest::{mc_detection_probability, network_fault_list, test_length, FaultSimulator};
+use dynmos::protest::{
+    mc_detection_probability, network_fault_list, test_length, tier_census, DetectionEngine,
+    EstimateMethod, FaultSimulator, RunBudget, TestPattern, TestabilityConfig, TierMode,
+    DEFAULT_NODE_BUDGET,
+};
 
 fn main() {
     let bits = 30;
@@ -28,33 +33,51 @@ fn main() {
         faults.len()
     );
 
-    // Exact detection probabilities via BDDs for a sample of faults along
-    // the chain (deep faults are harder: their effect must propagate).
-    println!("\nfault                          P(detect) [BDD exact]   MC estimate (100k)");
+    // Detection probabilities for the whole list from one engine: the
+    // good machine is built once, each fault rebuilds only its cone.
+    // All faults share one node store; four times the default budget
+    // holds every difference BDD of this chain, so all values are exact.
     let probs = vec![0.5f64; n];
+    let config = TestabilityConfig::new(TierMode::Bdd).with_node_budget(4 * DEFAULT_NODE_BUDGET);
+    let mut engine = DetectionEngine::new(&net, &faults, config);
+    let all = engine
+        .estimates(&probs, &RunBudget::unlimited())
+        .expect("an unlimited budget cannot interrupt");
+    println!("tiers: {}", tier_census(all.iter().map(|e| &e.method)));
+    assert!(
+        all.iter().all(|e| e.method == EstimateMethod::Bdd),
+        "every fault of the chain fits the node budget"
+    );
+
+    // A sample of faults along the chain (deep faults are harder: their
+    // effect must propagate), against Monte Carlo.
+    println!("\nfault                          P(detect) [tier]        MC estimate (100k)");
     let sample: Vec<usize> = vec![0, 1, faults.len() / 2, faults.len() - 1];
-    let mut exact_probs = Vec::new();
     for &i in &sample {
-        let e = &faults[i];
-        let exact = bdd_detection_probability(&net, &e.fault, &probs);
+        let (e, est) = (&faults[i], &all[i]);
         let mc = mc_detection_probability(&net, &e.fault, &probs, 0xACE1, 100_000);
         println!(
-            " {:<28}  {:>10.6}            {:.6} ± {:.6}",
-            e.label, exact, mc.value, mc.half_width
+            " {:<28}  {:>10.6} [{:<7}]   {:.6} ± {:.6}",
+            e.label,
+            est.value,
+            est.method.token(),
+            mc.value,
+            mc.half_width
         );
-        exact_probs.push(exact);
     }
 
-    // Full-list exact probabilities -> test length at scale.
-    let all: Vec<f64> = faults
+    // Full-list probabilities -> test length at scale.
+    let values: Vec<f64> = all.iter().map(|e| e.value).collect();
+    let hardest = all
         .iter()
-        .map(|e| bdd_detection_probability(&net, &e.fault, &probs))
-        .collect();
-    let hardest = all.iter().cloned().fold(f64::INFINITY, f64::min);
-    let n_patterns = test_length(&all, 0.999);
+        .min_by(|a, b| a.value.total_cmp(&b.value))
+        .expect("the chain has faults");
+    let n_patterns = test_length(&values, 0.999);
     println!(
-        "\nhardest fault detection probability: {hardest:.6}; \
-         random test length for 99.9% confidence: {n_patterns}"
+        "\nhardest fault detection probability: {:.6} [{}]; \
+         random test length for 99.9% confidence: {n_patterns}",
+        hardest.value,
+        hardest.method.token()
     );
 
     // BDD-extracted deterministic patterns, validated by simulation and
@@ -63,7 +86,12 @@ fn main() {
     let mut checked = 0;
     for &i in &sample {
         let e = &faults[i];
-        let bdd_pat = bdd_test_pattern(&net, &e.fault).expect("chain has no redundancy");
+        let TestPattern::Pattern(bdd_pat) = engine.test_pattern(i) else {
+            panic!(
+                "{}: the chain has no redundancy and fits the node budget",
+                e.label
+            );
+        };
         let out = sim.run_patterns(std::slice::from_ref(e), std::slice::from_ref(&bdd_pat));
         assert_eq!(out.coverage(), 1.0, "{} BDD pattern invalid", e.label);
         let podem = generate_test(&net, &e.fault, 0);

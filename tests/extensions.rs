@@ -1,12 +1,16 @@
-//! Integration tests for the extension features: BDD-based analysis,
-//! domino network flattening, SCVS self-checking, Monte Carlo estimation
-//! and the Galois LFSR — all driven through the `dynmos` facade.
+//! Integration tests for the extension features: BDD-based analysis
+//! (detection probabilities and test patterns from the BDD tier of the
+//! `DetectionEngine`), domino network flattening, SCVS self-checking,
+//! Monte Carlo estimation and the Galois LFSR — all driven through the
+//! `dynmos` facade.
 
 use dynmos::netlist::generate::{and_or_tree, carry_chain};
 use dynmos::netlist::to_switch::domino_to_switch;
 use dynmos::protest::montecarlo::mc_detection_probability;
-use dynmos::protest::symbolic::{bdd_detection_probability, bdd_test_pattern};
-use dynmos::protest::{exact_detection_probability, network_fault_list, FaultSimulator};
+use dynmos::protest::{
+    exact_detection_probability, network_fault_list, DetectionEngine, EstimateMethod,
+    FaultSimulator, RunBudget, TestPattern, TestabilityConfig, TierMode,
+};
 use dynmos::selftest::{GaloisLfsr, Lfsr};
 use dynmos::switch::scvs::{scvs_gate, ScvsGate};
 use dynmos::switch::{FaultSet, Logic, Sim, SwitchFault};
@@ -16,12 +20,20 @@ use dynmos::switch::{FaultSet, Logic, Sim, SwitchFault};
 #[test]
 fn three_engines_agree() {
     let net = and_or_tree(3); // 8 inputs
-    let faults = network_fault_list(&net);
+    let faults: Vec<_> = network_fault_list(&net).into_iter().step_by(5).collect();
     let probs = vec![0.5; 8];
-    for e in faults.iter().step_by(5) {
+    let bdd = DetectionEngine::new(&net, &faults, TestabilityConfig::new(TierMode::Bdd))
+        .estimates(&probs, &RunBudget::unlimited())
+        .expect("an unlimited budget cannot interrupt");
+    for (e, bdd) in faults.iter().zip(&bdd) {
         let exact = exact_detection_probability(&net, &e.fault, &probs);
-        let bdd = bdd_detection_probability(&net, &e.fault, &probs);
-        assert!((exact - bdd).abs() < 1e-12, "{}: {exact} vs {bdd}", e.label);
+        assert_eq!(bdd.method, EstimateMethod::Bdd, "{}", e.label);
+        assert!(
+            (exact - bdd.value).abs() < 1e-12,
+            "{}: {exact} vs {}",
+            e.label,
+            bdd.value
+        );
         let mc = mc_detection_probability(&net, &e.fault, &probs, 3, 60_000);
         assert!(
             (mc.value - exact).abs() < 3.0 * mc.half_width.max(1e-3),
@@ -40,11 +52,14 @@ fn bdd_pattern_works_on_flattened_transistors() {
     let flat = domino_to_switch(&net).expect("domino flattens");
     let faults = network_fault_list(&net);
     // Pick a gate-function fault on gate 0 and find its pattern.
-    let entry = faults
+    let index = faults
         .iter()
-        .find(|e| e.label.contains("g0/"))
+        .position(|e| e.label.contains("g0/"))
         .expect("gate fault exists");
-    let pattern = bdd_test_pattern(&net, &entry.fault).expect("testable");
+    let mut engine = DetectionEngine::new(&net, &faults, TestabilityConfig::new(TierMode::Bdd));
+    let TestPattern::Pattern(pattern) = engine.test_pattern(index) else {
+        panic!("{} is testable", faults[index].label);
+    };
     let word: u64 = pattern
         .iter()
         .enumerate()
@@ -141,13 +156,18 @@ fn redundancy_triple_agreement() {
     // An identity fault is redundant by construction.
     let fault = NetworkFault::GateFunction(GateRef(1), net.cell_of(GateRef(1)).logic_function());
     assert_eq!(generate_test(&net, &fault, 0), AtpgOutcome::Redundant);
-    assert_eq!(bdd_test_pattern(&net, &fault), None);
-    // Exhaustive simulation agrees.
     let entry = dynmos::protest::FaultEntry {
         label: "identity".into(),
         fault,
         at_speed_only: false,
     };
+    let mut engine = DetectionEngine::new(
+        &net,
+        std::slice::from_ref(&entry),
+        TestabilityConfig::new(TierMode::Bdd),
+    );
+    assert_eq!(engine.test_pattern(0), TestPattern::Redundant);
+    // Exhaustive simulation agrees.
     let patterns: Vec<Vec<bool>> = (0..16u64)
         .map(|w| (0..4).map(|i| (w >> i) & 1 == 1).collect())
         .collect();
