@@ -7,10 +7,26 @@
 //! hash-consed nodes, `and`/`or`/`not`/`xor` via the standard apply
 //! recursion, conversion from [`Bexpr`], satisfying-assignment counting
 //! and weighted probability evaluation (linear in BDD size).
+//!
+//! The store follows the classic package layout (Brace, Rudell & Bryant,
+//! "Efficient Implementation of a BDD Package", DAC'90):
+//! - nodes live in one `Vec`, and the unique table is a flat array of
+//!   chain heads with a `next` index in every node;
+//! - the computed table is lossy and direct-mapped: a colliding result
+//!   overwrites the old one, and a lookup only hits an entry written in
+//!   the current generation;
+//! - probability and counting memos are `Vec`s indexed by node.
+//!
+//! Nodes die strictly last-in first-out ([`Bdd::truncate`]), so a
+//! rollback pops each freed node off the head of its chain and bumps the
+//! computed table's generation: it costs the nodes it frees, not the
+//! size of any table. A lost cache entry only costs time. Recomputing an
+//! operation whose result is live reaches only live nodes, so the nodes a
+//! sequence of operations creates, and where a node budget overflows, do
+//! not depend on what the computed table holds.
 
 use crate::expr::Bexpr;
 use crate::vars::VarId;
-use std::collections::HashMap;
 
 /// The manager's node budget was exhausted mid-operation.
 ///
@@ -18,7 +34,7 @@ use std::collections::HashMap;
 /// [`Bdd::with_node_limit`]. The partially built nodes are still in the
 /// store; callers that want transactional behaviour should take a
 /// [`Bdd::mark`] before the operation and [`Bdd::truncate`] back to it on
-/// overflow.
+/// overflow, which costs only the nodes it frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BddOverflow {
     /// The node limit that was hit.
@@ -54,14 +70,140 @@ impl BddRef {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     var: u32,
     lo: BddRef,
     hi: BddRef,
+    /// The next older node in this node's unique-table chain; `0` (a
+    /// terminal, never chained) ends the chain.
+    next: u32,
 }
 
-/// A BDD manager: owns the node store and the operation caches.
+/// Slots of a fresh manager's unique and computed tables.
+const INITIAL_SLOTS: usize = 256;
+
+/// The computed table grows with the node count up to this many entries
+/// per table, so a large store does not double its memory in cache.
+const COMPUTED_CAP: usize = 1 << 18;
+
+/// The index in a table of `len` (a power of two, at least 2) slots of a
+/// key: its multiplicative hash, top bits first.
+fn slot(hi: u64, lo: u32, len: usize) -> usize {
+    let h = (hi.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(lo))
+        .wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    (h >> (64 - len.trailing_zeros())) as usize
+}
+
+fn pair(a: BddRef, b: BddRef) -> u64 {
+    (u64::from(a.0) << 32) | u64::from(b.0)
+}
+
+/// A binary operation kept in the computed table.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    And = 0,
+    Xor = 1,
+}
+
+/// A computed-table entry `op(a, b) = r`; `tag` is the generation shifted
+/// left by one, with the op in the low bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinEntry {
+    a: u32,
+    b: u32,
+    r: u32,
+    tag: u32,
+}
+
+/// A computed-table entry `not(a) = r`, valid in generation `gen`.
+#[derive(Debug, Clone, Copy, Default)]
+struct NotEntry {
+    a: u32,
+    r: u32,
+    gen: u32,
+}
+
+/// The lossy, direct-mapped computed table. An entry is valid only in
+/// the generation that wrote it; generation 0 marks empty slots.
+#[derive(Debug, Clone)]
+struct ComputedTable {
+    bin: Vec<BinEntry>,
+    not: Vec<NotEntry>,
+    gen: u32,
+}
+
+impl ComputedTable {
+    /// Generations fit in 31 bits, beside the op bit of a [`BinEntry`] tag.
+    const GEN_LIMIT: u32 = 1 << 31;
+
+    fn new() -> Self {
+        Self {
+            bin: vec![BinEntry::default(); INITIAL_SLOTS],
+            not: vec![NotEntry::default(); INITIAL_SLOTS],
+            gen: 1,
+        }
+    }
+
+    fn bin_tag(&self, op: Op) -> u32 {
+        (self.gen << 1) | op as u32
+    }
+
+    fn get(&self, op: Op, a: BddRef, b: BddRef) -> Option<BddRef> {
+        let e = self.bin[slot(pair(a, b), op as u32, self.bin.len())];
+        (e.tag == self.bin_tag(op) && e.a == a.0 && e.b == b.0).then_some(BddRef(e.r))
+    }
+
+    fn put(&mut self, op: Op, a: BddRef, b: BddRef, r: BddRef) {
+        let i = slot(pair(a, b), op as u32, self.bin.len());
+        self.bin[i] = BinEntry {
+            a: a.0,
+            b: b.0,
+            r: r.0,
+            tag: self.bin_tag(op),
+        };
+    }
+
+    fn get_not(&self, a: BddRef) -> Option<BddRef> {
+        let e = self.not[slot(u64::from(a.0), 0, self.not.len())];
+        (e.gen == self.gen && e.a == a.0).then_some(BddRef(e.r))
+    }
+
+    fn put_not(&mut self, a: BddRef, r: BddRef) {
+        let i = slot(u64::from(a.0), 0, self.not.len());
+        self.not[i] = NotEntry {
+            a: a.0,
+            r: r.0,
+            gen: self.gen,
+        };
+    }
+
+    /// Drops every entry at once by starting a new generation; a wrapped
+    /// counter clears the tables so no stale entry can match again.
+    fn invalidate(&mut self) {
+        self.gen += 1;
+        if self.gen == Self::GEN_LIMIT {
+            self.bin.fill(BinEntry::default());
+            self.not.fill(NotEntry::default());
+            self.gen = 1;
+        }
+    }
+
+    /// Grows the tables toward one slot per node, up to [`COMPUTED_CAP`].
+    /// The fresh tables start empty: growth happens a logarithmic number
+    /// of times, and a lost entry only costs a recomputation.
+    fn fit(&mut self, nodes: usize) {
+        if nodes <= self.bin.len() || self.bin.len() >= COMPUTED_CAP {
+            return;
+        }
+        let len = nodes.next_power_of_two().min(COMPUTED_CAP);
+        self.bin = vec![BinEntry::default(); len];
+        self.not = vec![NotEntry::default(); len];
+    }
+}
+
+/// A BDD manager: owns the node store, the unique table and the computed
+/// table.
 ///
 /// Variable order is the natural [`VarId`] order (0 at the top).
 ///
@@ -83,10 +225,10 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<Node, BddRef>,
-    and_cache: HashMap<(BddRef, BddRef), BddRef>,
-    xor_cache: HashMap<(BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
+    /// Unique table: per hash slot, the newest node of its chain (`0` for
+    /// none). Never shorter than the node store.
+    buckets: Vec<u32>,
+    computed: ComputedTable,
     node_limit: Option<usize>,
 }
 
@@ -97,15 +239,14 @@ impl Bdd {
             var: u32::MAX,
             lo: BddRef::FALSE,
             hi: BddRef::TRUE,
+            next: 0,
         };
         Self {
             // Index 0/1 are placeholders for the terminals; never read
             // through `node()` because is_const is checked first.
             nodes: vec![terminal, terminal],
-            unique: HashMap::new(),
-            and_cache: HashMap::new(),
-            xor_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            buckets: vec![0; INITIAL_SLOTS],
+            computed: ComputedTable::new(),
             node_limit: None,
         }
     }
@@ -138,9 +279,11 @@ impl Bdd {
     }
 
     /// Rolls the node store back to a previously taken [`mark`]: every
-    /// node created since is removed, and cache entries touching removed
-    /// nodes are dropped. Refs obtained before the mark stay valid; refs
-    /// created after it must not be used again.
+    /// node created since is removed, and the computed table starts a new
+    /// generation, which drops all its entries at once. Refs obtained
+    /// before the mark stay valid; refs created after it must not be used
+    /// again. Costs O(freed nodes): nodes die last-in first-out, so each
+    /// one is still the head of its unique-table chain.
     ///
     /// [`mark`]: Self::mark
     pub fn truncate(&mut self, mark: BddMark) {
@@ -148,16 +291,14 @@ impl Bdd {
         if keep >= self.nodes.len() {
             return;
         }
-        for n in &self.nodes[keep..] {
-            self.unique.remove(n);
+        for i in (keep..self.nodes.len()).rev() {
+            let n = self.nodes[i];
+            let b = slot(pair(n.lo, n.hi), n.var, self.buckets.len());
+            debug_assert_eq!(self.buckets[b] as usize, i, "freed node heads its chain");
+            self.buckets[b] = n.next;
         }
         self.nodes.truncate(keep);
-        let live = |r: BddRef| (r.0 as usize) < keep;
-        self.and_cache
-            .retain(|&(a, b), r| live(a) && live(b) && live(*r));
-        self.xor_cache
-            .retain(|&(a, b), r| live(a) && live(b) && live(*r));
-        self.not_cache.retain(|&a, r| live(a) && live(*r));
+        self.computed.invalidate();
     }
 
     fn node(&self, r: BddRef) -> Node {
@@ -174,19 +315,55 @@ impl Bdd {
         if lo == hi {
             return Ok(lo);
         }
-        let n = Node { var, lo, hi };
-        if let Some(&r) = self.unique.get(&n) {
-            return Ok(r);
+        let b = slot(pair(lo, hi), var, self.buckets.len());
+        let mut i = self.buckets[b];
+        while i != 0 {
+            let n = self.nodes[i as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Ok(BddRef(i));
+            }
+            i = n.next;
         }
         if let Some(limit) = self.node_limit {
             if self.nodes.len() >= limit {
                 return Err(BddOverflow { limit });
             }
         }
-        let r = BddRef(self.nodes.len() as u32);
-        self.nodes.push(n);
-        self.unique.insert(n, r);
-        Ok(r)
+        let r = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            var,
+            lo,
+            hi,
+            next: self.buckets[b],
+        });
+        self.buckets[b] = r;
+        if self.nodes.len() > self.buckets.len() {
+            self.grow_unique();
+        }
+        self.computed.fit(self.nodes.len());
+        Ok(BddRef(r))
+    }
+
+    /// Doubles the unique table, relinking the nodes oldest first so each
+    /// chain head stays its newest node.
+    fn grow_unique(&mut self) {
+        let len = 2 * self.buckets.len();
+        self.buckets.clear();
+        self.buckets.resize(len, 0);
+        for i in 2..self.nodes.len() {
+            let n = &mut self.nodes[i];
+            let b = slot(pair(n.lo, n.hi), n.var, len);
+            n.next = self.buckets[b];
+            self.buckets[b] = i as u32;
+        }
+    }
+
+    /// Starts a new computed-table generation without freeing nodes: a
+    /// manager that calls this before every operation must build exactly
+    /// the nodes a caching one builds.
+    #[cfg(test)]
+    fn flush_computed(&mut self) {
+        self.computed.invalidate();
     }
 
     /// The single-variable function `var`.
@@ -238,8 +415,8 @@ impl Bdd {
         if a == b {
             return Ok(a);
         }
-        let key = (a.min(b), a.max(b));
-        if let Some(&r) = self.and_cache.get(&key) {
+        let (a, b) = (a.min(b), a.max(b));
+        if let Some(r) = self.computed.get(Op::And, a, b) {
             return Ok(r);
         }
         let v = self.top_var(a).min(self.top_var(b));
@@ -248,7 +425,7 @@ impl Bdd {
         let lo = self.try_and(a0, b0)?;
         let hi = self.try_and(a1, b1)?;
         let r = self.try_mk(v, lo, hi)?;
-        self.and_cache.insert(key, r);
+        self.computed.put(Op::And, a, b, r);
         Ok(r)
     }
 
@@ -266,15 +443,15 @@ impl Bdd {
         if a == BddRef::TRUE {
             return Ok(BddRef::FALSE);
         }
-        if let Some(&r) = self.not_cache.get(&a) {
+        if let Some(r) = self.computed.get_not(a) {
             return Ok(r);
         }
         let n = self.node(a);
         let lo = self.try_not(n.lo)?;
         let hi = self.try_not(n.hi)?;
         let r = self.try_mk(n.var, lo, hi)?;
-        self.not_cache.insert(a, r);
-        self.not_cache.insert(r, a);
+        self.computed.put_not(a, r);
+        self.computed.put_not(r, a);
         Ok(r)
     }
 
@@ -315,8 +492,8 @@ impl Bdd {
         if b == BddRef::TRUE {
             return self.try_not(a);
         }
-        let key = (a.min(b), a.max(b));
-        if let Some(&r) = self.xor_cache.get(&key) {
+        let (a, b) = (a.min(b), a.max(b));
+        if let Some(r) = self.computed.get(Op::Xor, a, b) {
             return Ok(r);
         }
         let v = self.top_var(a).min(self.top_var(b));
@@ -325,7 +502,7 @@ impl Bdd {
         let lo = self.try_xor(a0, b0)?;
         let hi = self.try_xor(a1, b1)?;
         let r = self.try_mk(v, lo, hi)?;
-        self.xor_cache.insert(key, r);
+        self.computed.put(Op::Xor, a, b, r);
         Ok(r)
     }
 
@@ -365,10 +542,21 @@ impl Bdd {
     }
 
     /// Evaluates under a dense input word (bit `i` = variable `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the evaluation path reaches a variable `>= 64`, which no
+    /// `u64` word can hold; [`any_sat`](Self::any_sat) and
+    /// [`probability`](Self::probability) have no such limit.
     pub fn eval_word(&self, r: BddRef, word: u64) -> bool {
         let mut cur = r;
         while !cur.is_const() {
             let n = self.node(cur);
+            assert!(
+                n.var < u64::BITS,
+                "eval_word reached variable v{}, past the 64 bits of an input word",
+                n.var
+            );
             cur = if (word >> n.var) & 1 == 1 { n.hi } else { n.lo };
         }
         cur == BddRef::TRUE
@@ -387,7 +575,7 @@ impl Bdd {
     ///
     /// Panics if the function references a variable `>= nvars`.
     pub fn sat_count(&self, r: BddRef, nvars: usize) -> u64 {
-        let mut memo: HashMap<BddRef, f64> = HashMap::new();
+        let mut memo = vec![f64::NAN; self.nodes.len()];
         let frac = self.sat_fraction(r, &mut memo);
         // 2^nvars overflows the old `1u64 << nvars` for nvars >= 64;
         // compute in f64 (exact for powers of two up to the exponent
@@ -400,19 +588,22 @@ impl Bdd {
         }
     }
 
-    fn sat_fraction(&self, r: BddRef, memo: &mut HashMap<BddRef, f64>) -> f64 {
+    /// The satisfying fraction of `r`; `memo[i]` holds node `i`'s, or NaN
+    /// when not yet known.
+    fn sat_fraction(&self, r: BddRef, memo: &mut [f64]) -> f64 {
         if r == BddRef::FALSE {
             return 0.0;
         }
         if r == BddRef::TRUE {
             return 1.0;
         }
-        if let Some(&f) = memo.get(&r) {
-            return f;
+        let known = memo[r.0 as usize];
+        if !known.is_nan() {
+            return known;
         }
         let n = self.node(r);
         let f = 0.5 * self.sat_fraction(n.lo, memo) + 0.5 * self.sat_fraction(n.hi, memo);
-        memo.insert(r, f);
+        memo[r.0 as usize] = f;
         f
     }
 
@@ -425,38 +616,47 @@ impl Bdd {
     /// Panics if the function references a variable `>= probs.len()` or a
     /// probability is outside `[0, 1]`.
     pub fn probability(&self, r: BddRef, probs: &[f64]) -> f64 {
-        for &p in probs {
-            assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
-        }
-        let mut memo: HashMap<BddRef, f64> = HashMap::new();
-        self.prob_rec(r, probs, &mut memo)
+        self.probability_memo(r, probs, &mut Vec::new())
     }
 
-    /// [`probability`](Self::probability) with a caller-owned memo table,
-    /// so a caller evaluating many roots one at a time (the per-fault
+    /// [`probability`](Self::probability) with a caller-owned memo, so a
+    /// caller evaluating many roots one at a time (the per-fault
     /// detectability functions over one good machine) evaluates nodes
     /// common to several roots once.
-    pub fn probability_memo(
-        &self,
-        r: BddRef,
-        probs: &[f64],
-        memo: &mut HashMap<BddRef, f64>,
-    ) -> f64 {
-        for &p in probs {
-            assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
+    ///
+    /// The memo is indexed by node and holds NaN for nodes not yet
+    /// evaluated; start from an empty `Vec`. It belongs to one `probs`,
+    /// which is validated on the first call, while the memo is empty. The
+    /// caller must not reuse a memo across a [`truncate`](Self::truncate)
+    /// that frees a node the memo has evaluated: a later node with the
+    /// same index would read its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function references a variable `>= probs.len()`, or,
+    /// on the first call, if a probability is outside `[0, 1]`.
+    pub fn probability_memo(&self, r: BddRef, probs: &[f64], memo: &mut Vec<f64>) -> f64 {
+        if memo.is_empty() {
+            for &p in probs {
+                assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
+            }
+        }
+        if memo.len() < self.nodes.len() {
+            memo.resize(self.nodes.len(), f64::NAN);
         }
         self.prob_rec(r, probs, memo)
     }
 
-    fn prob_rec(&self, r: BddRef, probs: &[f64], memo: &mut HashMap<BddRef, f64>) -> f64 {
+    fn prob_rec(&self, r: BddRef, probs: &[f64], memo: &mut [f64]) -> f64 {
         if r == BddRef::FALSE {
             return 0.0;
         }
         if r == BddRef::TRUE {
             return 1.0;
         }
-        if let Some(&p) = memo.get(&r) {
-            return p;
+        let known = memo[r.0 as usize];
+        if !known.is_nan() {
+            return known;
         }
         let n = self.node(r);
         let pv = *probs
@@ -464,7 +664,7 @@ impl Bdd {
             .unwrap_or_else(|| panic!("variable v{} has no probability", n.var));
         let p =
             pv * self.prob_rec(n.hi, probs, memo) + (1.0 - pv) * self.prob_rec(n.lo, probs, memo);
-        memo.insert(r, p);
+        memo[r.0 as usize] = p;
         p
     }
 
@@ -568,6 +768,7 @@ impl Default for Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Bexpr;
     use crate::parser::parse_expr;
     use crate::table::TruthTable;
     use crate::vars::VarTable;
@@ -700,6 +901,173 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "eval_word reached variable v64")]
+    fn eval_word_refuses_variables_past_the_word() {
+        // A 70-variable AND chain: with the first 64 variables true the
+        // walk reaches v64, which a u64 word cannot hold. Shifting by it
+        // used to panic in debug builds and read bit 0 in release.
+        let mut bdd = Bdd::new();
+        let mut acc = BddRef::TRUE;
+        for i in 0..70u32 {
+            let v = bdd.var(VarId(i));
+            acc = bdd.and(acc, v);
+        }
+        // Paths that stop within the word still evaluate.
+        assert!(!bdd.eval_word(acc, u64::MAX - 1));
+        let _ = bdd.eval_word(acc, u64::MAX);
+    }
+
+    /// An operation of the store test, over indices into its root pool.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Var(u32),
+        Not(usize),
+        And(usize, usize),
+        Or(usize, usize),
+        Xor(usize, usize),
+    }
+
+    fn apply(bdd: &mut Bdd, step: Step, roots: &[BddRef]) -> Result<BddRef, BddOverflow> {
+        match step {
+            Step::Var(v) => bdd.try_var(VarId(v)),
+            Step::Not(a) => bdd.try_not(roots[a]),
+            Step::And(a, b) => bdd.try_and(roots[a], roots[b]),
+            Step::Or(a, b) => bdd.try_or(roots[a], roots[b]),
+            Step::Xor(a, b) => bdd.try_xor(roots[a], roots[b]),
+        }
+    }
+
+    fn table_of(step: Step, tables: &[TruthTable], nvars: usize) -> TruthTable {
+        match step {
+            Step::Var(v) => TruthTable::from_expr(&Bexpr::Var(VarId(v)), nvars),
+            Step::Not(a) => tables[a].not(),
+            Step::And(a, b) => tables[a].and(&tables[b]),
+            Step::Or(a, b) => tables[a].or(&tables[b]),
+            Step::Xor(a, b) => tables[a].xor(&tables[b]),
+        }
+    }
+
+    #[test]
+    fn store_invariants_under_random_ops_and_rollback() {
+        const NVARS: usize = 8;
+        let (mut overflows, mut rollbacks, mut peak) = (0, 0, 0);
+        for seed in 1..=40u64 {
+            // xorshift64*, so the op sequence is fixed per seed.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = |n: usize| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+            };
+            // Mostly tight budgets, so ops overflow; every fourth seed
+            // rolls back rarely and grows the unique table past its
+            // initial size instead.
+            let roomy = seed % 4 == 0;
+            let (limit, odds, ops) = if roomy {
+                (2000 + below(1000), 200, 1500)
+            } else {
+                (10 + below(30), 12, 300)
+            };
+            let mut bdd = Bdd::with_node_limit(limit);
+            // Flushed before every op: whatever the computed table holds
+            // must not change which nodes get built.
+            let mut twin = Bdd::with_node_limit(limit);
+            let mut roots = vec![BddRef::FALSE, BddRef::TRUE];
+            let mut tables = vec![TruthTable::zeros(NVARS), TruthTable::ones(NVARS)];
+            let mut steps: Vec<Option<Step>> = vec![None, None];
+            // (mark, roots kept) per open transaction; the first is only
+            // rolled back to on overflow.
+            let mut marks = vec![(bdd.mark(), roots.len())];
+            for _ in 0..ops {
+                let pick = below(odds);
+                if pick == 0 || (pick == 1 && marks.len() == 1) {
+                    assert_eq!(twin.mark(), bdd.mark());
+                    marks.push((bdd.mark(), roots.len()));
+                    continue;
+                }
+                if pick == 1 {
+                    let (mark, kept) = marks.pop().expect("open mark");
+                    rollbacks += usize::from(bdd.mark() != mark);
+                    bdd.truncate(mark);
+                    twin.truncate(mark);
+                    roots.truncate(kept);
+                    tables.truncate(kept);
+                    steps.truncate(kept);
+                    // Rebuilding a kept root hash-conses back to it
+                    // without growing the store.
+                    let count = bdd.node_count();
+                    for i in 2..roots.len() {
+                        let step = steps[i].expect("built roots have a step");
+                        assert_eq!(apply(&mut bdd, step, &roots), Ok(roots[i]), "seed {seed}");
+                        assert_eq!(bdd.node_count(), count, "seed {seed}: rebuild grew");
+                    }
+                    continue;
+                }
+                let n = roots.len();
+                let step = match below(5) {
+                    0 => Step::Var(below(NVARS) as u32),
+                    1 => Step::Not(below(n)),
+                    2 => Step::And(below(n), below(n)),
+                    3 => Step::Or(below(n), below(n)),
+                    _ => Step::Xor(below(n), below(n)),
+                };
+                let got = apply(&mut bdd, step, &roots);
+                peak = peak.max(bdd.node_count());
+                twin.flush_computed();
+                assert_eq!(apply(&mut twin, step, &roots), got, "seed {seed}: {step:?}");
+                assert_eq!(twin.node_count(), bdd.node_count(), "seed {seed}: {step:?}");
+                match got {
+                    Ok(r) => {
+                        let table = table_of(step, &tables, NVARS);
+                        for w in 0..1u64 << NVARS {
+                            assert_eq!(bdd.eval_word(r, w), table.get(w), "seed {seed}: {step:?}");
+                        }
+                        roots.push(r);
+                        tables.push(table);
+                        steps.push(Some(step));
+                    }
+                    Err(e) => {
+                        assert_eq!(e.limit, limit);
+                        overflows += 1;
+                        let (mark, kept) = *marks.last().expect("base mark");
+                        bdd.truncate(mark);
+                        twin.truncate(mark);
+                        roots.truncate(kept);
+                        tables.truncate(kept);
+                        steps.truncate(kept);
+                    }
+                }
+            }
+        }
+        assert!(overflows > 100, "only {overflows} overflows");
+        assert!(rollbacks > 100, "only {rollbacks} rollbacks freed nodes");
+        assert!(
+            peak > 2 * INITIAL_SLOTS,
+            "the unique table never grew twice: {peak} nodes"
+        );
+    }
+
+    #[test]
+    fn generation_wrap_clears_the_computed_table() {
+        let mut bdd = Bdd::new();
+        bdd.computed.gen = ComputedTable::GEN_LIMIT - 1;
+        let a = bdd.var(VarId(0));
+        let b = bdd.var(VarId(1));
+        let mark = bdd.mark();
+        let ab = bdd.and(a, b);
+        let not_a = bdd.not(a);
+        bdd.truncate(mark);
+        // The wrap restarts at generation 1 with empty tables, so no entry
+        // of the last generation can match a recycled generation number.
+        assert_eq!(bdd.computed.gen, 1);
+        assert!(bdd.computed.bin.iter().all(|e| e.tag == 0));
+        assert!(bdd.computed.not.iter().all(|e| e.gen == 0));
+        assert_eq!(bdd.and(a, b), ab);
+        assert_eq!(bdd.not(a), not_a);
+    }
+
+    #[test]
     fn scales_past_truth_table_limit() {
         // 64-variable AND chain: truth tables are impossible, the BDD is
         // linear.
@@ -812,7 +1180,7 @@ mod tests {
         let r2 = bdd.from_expr(&e2);
         let probs = vec![0.15, 0.35, 0.55, 0.75];
         // One memo shared across the roots gives the scalar values.
-        let mut memo = HashMap::new();
+        let mut memo = Vec::new();
         let many: Vec<f64> = [r1, r2, BddRef::TRUE]
             .iter()
             .map(|&r| bdd.probability_memo(r, &probs, &mut memo))

@@ -568,7 +568,11 @@ impl SymbolicState {
         // depend on pi_probs: each is built at most once per call.
         let mut good_iv: Option<Vec<Interval>> = None;
         let mut bank: Option<SampleBank<'_>> = None;
-        let mut prob_memo: HashMap<BddRef, f64> = HashMap::new();
+        // One probability memo per query, indexed by node. A rollback in
+        // this loop is `resolve` demoting a fault on overflow: it frees
+        // only nodes built since its own mark, above every node a kept
+        // root (and so the memo) reaches, so no memoised index is reused.
+        let mut prob_memo: Vec<f64> = Vec::new();
         let mut emitted = false;
         for (i, entry) in faults.iter().enumerate().skip(start) {
             if emitted {
@@ -584,7 +588,12 @@ impl SymbolicState {
                 _ => Some(net.prepare_fault(fault)),
             };
             if let (FaultTier::Unresolved, Some(prepared)) = (self.tiers[i], &prepared) {
+                let top = self.bdd.node_count();
                 self.tiers[i] = self.resolve(net, fault, prepared);
+                debug_assert!(
+                    prob_memo.iter().skip(top).all(|p| p.is_nan()),
+                    "a rollback freed a memoised node"
+                );
             }
             let est = match self.tiers[i] {
                 FaultTier::Unresolved => unreachable!("resolved above"),
