@@ -347,12 +347,10 @@ impl Bdd {
     /// Doubles the unique table, relinking the nodes oldest first so each
     /// chain head stays its newest node.
     fn grow_unique(&mut self) {
-        let len = 2 * self.buckets.len();
-        self.buckets.clear();
-        self.buckets.resize(len, 0);
+        self.buckets = vec![0; 2 * self.buckets.len()];
         for i in 2..self.nodes.len() {
             let n = &mut self.nodes[i];
-            let b = slot(pair(n.lo, n.hi), n.var, len);
+            let b = slot(pair(n.lo, n.hi), n.var, self.buckets.len());
             n.next = self.buckets[b];
             self.buckets[b] = i as u32;
         }
