@@ -1,7 +1,10 @@
-//! Golden output: the full-universe fault library of a 10-input domino
-//! cell, compared byte for byte against a fixture captured before the
-//! prime-implicant generator was rewritten. The minimizer may pick any
-//! of several minimum forms; this pins the ones the library prints.
+//! Golden output: fault libraries compared byte for byte against
+//! fixtures captured before the prime-implicant generator was rewritten
+//! from Quine–McCluskey merging to recursive cofactoring. The minimizer
+//! may pick any of several minimum forms; these pin the ones the library
+//! prints.
+
+mod cells;
 
 use dynmos_core::{FaultLibrary, FaultUniverse};
 use dynmos_netlist::parse_cell;
@@ -20,4 +23,37 @@ fn ten_input_domino_library_matches_fixture() {
         lib.to_string(),
         include_str!("fixtures/domino10_full_library.txt")
     );
+}
+
+/// The libraries of every golden cell (see `cells`), under the full
+/// fault universe and the paper's table universe, each after a `==`
+/// header line naming the cell and universe.
+fn shape_libraries() -> String {
+    let mut out = String::new();
+    for cell in cells::golden_cells() {
+        for (universe_name, universe) in [
+            ("full", FaultUniverse::full()),
+            ("paper", FaultUniverse::paper_table()),
+        ] {
+            out.push_str(&format!("== {} {universe_name}\n", cell.name()));
+            out.push_str(&FaultLibrary::generate_with(&cell, universe).to_string());
+        }
+    }
+    out
+}
+
+#[test]
+fn shape_libraries_match_fixture() {
+    let actual = shape_libraries();
+    let expected = include_str!("fixtures/shape_libraries.txt");
+    // Name the first differing line rather than dumping both texts.
+    for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(a, e, "fixture line {} differs", i + 1);
+    }
+    assert_eq!(
+        actual.lines().count(),
+        expected.lines().count(),
+        "fixture length differs"
+    );
+    assert_eq!(actual, expected);
 }
