@@ -5,12 +5,12 @@
 //! binary (`cargo run --release -p dynmos-bench --bin experiments`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dynmos_core::{validate_cell, FaultLibrary};
+use dynmos_core::{validate_cell, FaultLibrary, FaultUniverse};
 use dynmos_netlist::generate::{
     and_or_tree, array_multiplier, c17_dynamic_nmos, carry_chain, domino_wide_and, fig9_cell,
     random_domino_cell, ripple_adder, single_cell_network,
 };
-use dynmos_netlist::{Network, PackedEvaluator};
+use dynmos_netlist::{parse_cell, Network, PackedEvaluator};
 use dynmos_protest::FaultEntry;
 use dynmos_protest::{
     detection_probabilities, mc_signal_probability, network_fault_list,
@@ -87,6 +87,26 @@ fn bench_e6_e10_library_generation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(switches), &cell, |b, cell| {
             b.iter(|| {
                 std::hint::black_box(FaultLibrary::generate(cell))
+                    .classes()
+                    .len()
+            })
+        });
+    }
+    // The random cells above have at most 6 inputs; the benchmark's 8-
+    // and 10-input domino shapes reach the minimizer's expensive regime.
+    for (inputs, function) in [
+        (8, "(i0*i1+i2)*(i3+i4*i5)+i6*i7"),
+        (10, "(i0+i4)*(i7+i2*i9*i5)*(i1+i3+i8*i6)"),
+    ] {
+        let names: Vec<String> = (0..inputs).map(|i| format!("i{i}")).collect();
+        let text = format!(
+            "TECHNOLOGY domino-CMOS; INPUT {}; OUTPUT z; z := {function};",
+            names.join(",")
+        );
+        let cell = parse_cell("shape", &text).expect("shape cell parses");
+        group.bench_with_input(BenchmarkId::new("shape_full", inputs), &cell, |b, cell| {
+            b.iter(|| {
+                std::hint::black_box(FaultLibrary::generate_with(cell, FaultUniverse::full()))
                     .classes()
                     .len()
             })

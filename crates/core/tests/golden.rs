@@ -1,8 +1,7 @@
 //! Golden output: fault libraries compared byte for byte against
-//! fixtures captured before the prime-implicant generator was rewritten
-//! from Quine–McCluskey merging to recursive cofactoring. The minimizer
-//! may pick any of several minimum forms; these pin the ones the library
-//! prints.
+//! fixtures captured from the Quine–McCluskey prime generator, which
+//! recursive cofactoring has since replaced. The minimizer may pick any
+//! of several minimum forms; these pin the ones the library prints.
 
 mod cells;
 

@@ -574,7 +574,7 @@ impl Bdd {
     /// Panics if the function references a variable `>= nvars`.
     pub fn sat_count(&self, r: BddRef, nvars: usize) -> u64 {
         let mut memo = vec![f64::NAN; self.nodes.len()];
-        let frac = self.sat_fraction(r, &mut memo);
+        let frac = self.sat_fraction(r, nvars, &mut memo);
         // 2^nvars overflows the old `1u64 << nvars` for nvars >= 64;
         // compute in f64 (exact for powers of two up to the exponent
         // range) and saturate.
@@ -588,7 +588,11 @@ impl Bdd {
 
     /// The satisfying fraction of `r`; `memo[i]` holds node `i`'s, or NaN
     /// when not yet known.
-    fn sat_fraction(&self, r: BddRef, memo: &mut [f64]) -> f64 {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node whose variable is `>= nvars`.
+    fn sat_fraction(&self, r: BddRef, nvars: usize, memo: &mut [f64]) -> f64 {
         if r == BddRef::FALSE {
             return 0.0;
         }
@@ -600,7 +604,13 @@ impl Bdd {
             return known;
         }
         let n = self.node(r);
-        let f = 0.5 * self.sat_fraction(n.lo, memo) + 0.5 * self.sat_fraction(n.hi, memo);
+        assert!(
+            (n.var as usize) < nvars,
+            "sat_count reached variable v{} outside 0..{nvars}",
+            n.var
+        );
+        let f =
+            0.5 * self.sat_fraction(n.lo, nvars, memo) + 0.5 * self.sat_fraction(n.hi, nvars, memo);
         memo[r.0 as usize] = f;
         f
     }
@@ -827,6 +837,9 @@ mod tests {
         let mut bdd = Bdd::new();
         let root = bdd.from_expr(&e);
         assert_eq!(bdd.sat_count(root, n), t.count_ones());
+        // Variables the function does not read still double the count.
+        let v2 = bdd.var(VarId(2));
+        assert_eq!(bdd.sat_count(v2, 3), 4);
     }
 
     #[test]
@@ -1117,6 +1130,14 @@ mod tests {
         assert_eq!(bdd.sat_count(or_acc, 70), u64::MAX);
         assert_eq!(bdd.sat_count(BddRef::TRUE, 64), u64::MAX);
         assert_eq!(bdd.sat_count(BddRef::TRUE, 63), 1u64 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "sat_count reached variable v5 outside 0..3")]
+    fn sat_count_refuses_variables_past_nvars() {
+        let mut bdd = Bdd::new();
+        let v5 = bdd.var(VarId(5));
+        bdd.sat_count(v5, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`Cube`] is a product term over `n` variables; a [`Cover`] is a set of
 //! cubes interpreted as their disjunction. These are the carriers for the
-//! Quine–McCluskey minimization in [`crate::mindnf`], which produces the
+//! two-level minimization in [`crate::mindnf`], which produces the
 //! "minimum disjunctive form" in which the paper's fault library stores
 //! every faulty function.
 

@@ -9,9 +9,9 @@
 //! * [`VarTable`] — an interner mapping variable names to dense [`VarId`]s,
 //! * [`TruthTable`] — bit-packed truth tables (the canonical function
 //!   representation used for equivalence-class collapsing),
-//! * [`Cube`] / [`Cover`] and [`min_dnf`] — prime implicants and
-//!   Quine–McCluskey minimal disjunctive forms, because the paper emits
-//!   every faulty function "in the minimum disjunctive form",
+//! * [`Cube`] / [`Cover`] and [`min_dnf`] — prime implicants (by
+//!   recursive cofactoring) and minimal disjunctive forms, because the
+//!   paper emits every faulty function "in the minimum disjunctive form",
 //! * [`signal_probability`] — exact signal probabilities under independent
 //!   input-signal probabilities, the primitive PROTEST is built on.
 //!

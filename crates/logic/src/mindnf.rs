@@ -1,10 +1,11 @@
-//! Quine–McCluskey minimization.
+//! Two-level minimization.
 //!
 //! The paper's fault library stores every faulty function "in the minimum
 //! disjunctive form". [`min_dnf`] reproduces that: prime implicant
-//! generation ([`prime_implicants`]) followed by an exact set-cover
-//! (branch-and-bound Petrick-style, falling back to greedy above a size
-//! threshold that the library's "< 12 transistors" gates never reach).
+//! generation ([`prime_implicants`], by recursive cofactoring on the
+//! packed truth table) followed by an exact set-cover (branch-and-bound
+//! Petrick-style, falling back to greedy above a size threshold that the
+//! library's "< 12 transistors" gates never reach).
 
 use crate::cube::{Cover, Cube};
 use crate::table::TruthTable;
@@ -16,15 +17,24 @@ const EXACT_COVER_LIMIT: usize = 200_000;
 
 /// Computes all prime implicants of the function given by `table`.
 ///
-/// Runs the Quine–McCluskey column-merging procedure on the function's
-/// minterms. Each level is the sorted list of all implicants with the
-/// same number of free variables; a cube's merge partners are found by
-/// binary search (same `care`, one 0 bit of `value` set to 1), so a level
-/// of `N` cubes over `n` variables costs `O(N·n·log N)` rather than the
-/// `O(N²)` of comparing every pair. A merged cube is emitted only from the
-/// pair whose freed variable is above every variable it has already
-/// freed, so each implicant of the next level is built exactly once. The
-/// result is returned in deterministic sorted order.
+/// Primes are generated by recursive cofactoring on the table's packed
+/// words (Brayton et al., *Logic Minimization Algorithms for VLSI
+/// Synthesis*, 1984; Coudert & Madre, DAC'92). With `P(0) = ∅`,
+/// `P(1) = {1}` and `f = x̄·f0 + x·f1` split on the top variable `x`:
+///
+/// * `P(f) = P(f0)` if `f0 == f1`, and otherwise
+/// * `P(f) = P(f0·f1) ∪ x̄·(P(f0) ∖ P(f0·f1)) ∪ x·(P(f1) ∖ P(f0·f1))`.
+///
+/// The primes without `x` are those of `f0·f1`; a prime of `f0` not among
+/// them is no implicant of `f1`, so it stays prime with `x̄` bound. Above
+/// 6 variables the cofactors are the two halves of the word slice, below
+/// that the two halves of the one word. A call costs its cofactors' words
+/// plus a binary search per returned cube; there are `O(3^n)` calls, and
+/// where `f0·f1 == f0` (`f0` implies `f1`, as in every variable of a
+/// positive-unate cell function) the `P(f0)` branch is skipped, leaving
+/// `O(2^n)`. Every cube built is a prime of some cofactor, where
+/// Quine–McCluskey builds every implicant at every level. The result is
+/// sorted by [`Cube`]'s order.
 ///
 /// # Example
 ///
@@ -40,44 +50,78 @@ const EXACT_COVER_LIMIT: usize = 200_000;
 /// # }
 /// ```
 pub fn prime_implicants(table: &TruthTable) -> Vec<Cube> {
-    let nvars = table.nvars();
-    let full = Cube::minterm(0, nvars).care();
-    // `ones_iter` ascends, so the minterms are already sorted and unique.
-    let mut level: Vec<Cube> = table.ones_iter().map(|r| Cube::minterm(r, nvars)).collect();
-    let mut primes: Vec<Cube> = Vec::new();
+    primes_of_words(table.words(), table.nvars())
+}
 
-    while !level.is_empty() {
-        let mut merged = vec![false; level.len()];
-        let mut next: Vec<Cube> = Vec::new();
-        for (i, cube) in level.iter().enumerate() {
-            let freed = full & !cube.care();
-            let mut zeros = cube.care() & !cube.value();
-            while zeros != 0 {
-                let bit = zeros & zeros.wrapping_neg();
-                zeros &= zeros - 1;
-                let partner = Cube::new(cube.care(), cube.value() | bit);
-                if let Ok(j) = level.binary_search(&partner) {
-                    merged[i] = true;
-                    merged[j] = true;
-                    if freed < bit {
-                        next.push(Cube::new(cube.care() & !bit, cube.value()));
-                    }
-                }
-            }
-        }
-        primes.extend(
-            level
-                .iter()
-                .zip(&merged)
-                .filter(|(_, &m)| !m)
-                .map(|(c, _)| *c),
-        );
-        next.sort_unstable();
-        level = next;
+/// The sorted primes of the function over `k > 6` variables whose rows
+/// are `words`, or of the one word for `k <= 6`.
+fn primes_of_words(words: &[u64], k: usize) -> Vec<Cube> {
+    if k <= 6 {
+        return primes_of_word(words[0], k);
     }
-    primes.sort();
-    primes.dedup();
-    primes
+    let (f0, f1) = words.split_at(words.len() / 2);
+    let both: Vec<u64> = f0.iter().zip(f1).map(|(a, b)| a & b).collect();
+    split_on(k - 1, f0, f1, &both[..], |f| primes_of_words(f, k - 1))
+}
+
+/// The sorted primes of the function over `k <= 6` variables whose rows
+/// are the low `2^k` bits of `word` (the rest clear).
+fn primes_of_word(word: u64, k: usize) -> Vec<Cube> {
+    let rows = |k: usize| u64::MAX >> (64 - (1u32 << k));
+    if word == 0 {
+        return Vec::new();
+    }
+    if word == rows(k) {
+        return vec![Cube::universe()];
+    }
+    // `word` is neither constant, so `k >= 1`.
+    let (f0, f1) = (word & rows(k - 1), word >> (1u32 << (k - 1)));
+    split_on(k - 1, f0, f1, f0 & f1, |&f| primes_of_word(f, k - 1))
+}
+
+/// One step of the recurrence: the sorted primes of `x̄·f0 + x·f1`, from
+/// the cofactors, their conjunction `both`, and `primes` of a cofactor.
+/// `x` is above every variable of the cofactors, so the cubes that bind
+/// it sort after all primes of `both`.
+fn split_on<T: PartialEq>(
+    x: usize,
+    f0: T,
+    f1: T,
+    both: T,
+    primes: impl Fn(&T) -> Vec<Cube>,
+) -> Vec<Cube> {
+    if f0 == f1 {
+        return primes(&f0);
+    }
+    let common = primes(&both);
+    let bit = 1u64 << x;
+    // `P(fi) ∖ P(both)` is empty when `fi == both`, so that branch is skipped.
+    let lift = |f: &T, value: u64| -> Vec<Cube> {
+        if *f == both {
+            return Vec::new();
+        }
+        primes(f)
+            .into_iter()
+            .filter(|c| common.binary_search(c).is_err())
+            .map(|c| Cube::new(c.care() | bit, c.value() | value))
+            .collect()
+    };
+    let (neg, pos) = (lift(&f0, 0), lift(&f1, bit));
+    let mut out = common;
+    out.reserve(neg.len() + pos.len());
+    let (mut i, mut j) = (0, 0);
+    while i < neg.len() && j < pos.len() {
+        if neg[i] < pos[j] {
+            out.push(neg[i]);
+            i += 1;
+        } else {
+            out.push(pos[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&neg[i..]);
+    out.extend_from_slice(&pos[j..]);
+    out
 }
 
 /// Computes a minimum disjunctive form of the function given by `table`.

@@ -203,9 +203,26 @@ impl TruthTable {
         self.zip(other, |a, b| a ^ b)
     }
 
-    /// Iterates the rows at which the function is `true`.
+    /// Iterates the rows at which the function is `true`, ascending.
     pub fn ones_iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len()).filter(move |&r| self.get(r))
+        // Scan words and pop set bits; the masked tail holds no stray ones.
+        self.bits.iter().enumerate().flat_map(|(i, &word)| {
+            let base = (i as u64) << 6;
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = u64::from(rest.trailing_zeros());
+                    rest &= rest - 1;
+                    base | bit
+                })
+            })
+        })
+    }
+
+    /// The packed rows: bit `r & 63` of word `r >> 6` is row `r`. A table
+    /// over fewer than 6 variables has one word with its tail bits clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
     }
 
     /// The positive cofactor `f[var := 1]` (table width shrinks by one).
@@ -391,6 +408,30 @@ mod tests {
         assert_eq!(t.count_ones(), 1);
         t.set(17, false);
         assert!(t.is_zero());
+    }
+
+    #[test]
+    fn ones_iter_ascends_and_matches_get() {
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        for nvars in 0..=8 {
+            // Sparse to full tables; widths below 6 have a masked tail in
+            // their one word.
+            for ones_per_4 in [1u64, 2, 3, 4] {
+                let mut t = TruthTable::zeros(nvars);
+                for r in 0..t.len() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    t.set(r, (state >> 62) < ones_per_4);
+                }
+                let expected: Vec<u64> = (0..t.len()).filter(|&r| t.get(r)).collect();
+                assert_eq!(t.ones_iter().collect::<Vec<_>>(), expected, "{t:?}");
+            }
+            assert_eq!(TruthTable::zeros(nvars).ones_iter().count(), 0);
+            let negated = TruthTable::zeros(nvars).not();
+            let all: Vec<u64> = (0..negated.len()).collect();
+            assert_eq!(negated.ones_iter().collect::<Vec<_>>(), all);
+        }
     }
 
     #[test]

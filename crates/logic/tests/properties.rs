@@ -1,10 +1,14 @@
 //! Property-based tests for the Boolean substrate.
 
+use dynmos_core::{FaultLibrary, FaultUniverse};
 use dynmos_logic::{
     min_dnf, parse_expr, prime_implicants, signal_probability, signal_probability_expr, Bexpr,
     Cube, TruthTable, VarId, VarTable,
 };
 use proptest::prelude::*;
+
+#[path = "../../core/tests/cells/mod.rs"]
+mod golden_cells;
 
 /// Strategy: an arbitrary expression over `nvars` variables (with
 /// complements and constants), depth-bounded.
@@ -195,29 +199,38 @@ fn reference_primes(t: &TruthTable) -> Vec<Cube> {
     primes
 }
 
-/// `prime_implicants` equals the brute-force reference on seeded random
-/// tables of every width 1..=7 and densities from sparse to dense, plus
-/// the constant functions.
-#[test]
-fn prime_implicants_match_brute_force() {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        // splitmix64
+/// splitmix64 stream: a seeded source of reproducible random tables.
+fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    };
-    for n in 1..=7 {
+    }
+}
+
+/// A table over `n` variables whose rows are set with probability
+/// `ones_per_8 / 8`.
+fn random_table(n: usize, ones_per_8: u64, next: &mut impl FnMut() -> u64) -> TruthTable {
+    let mut t = TruthTable::zeros(n);
+    for r in 0..t.len() {
+        t.set(r, next() % 8 < ones_per_8);
+    }
+    t
+}
+
+/// `prime_implicants` equals the brute-force reference on seeded random
+/// tables of every width 1..=8 and densities from sparse to dense, plus
+/// the constant functions.
+#[test]
+fn prime_implicants_match_brute_force() {
+    let mut next = splitmix(0x9E37_79B9_7F4A_7C15);
+    for n in 1..=8 {
         let mut tables = vec![TruthTable::zeros(n), TruthTable::ones(n)];
         for ones_per_8 in [2u64, 4, 6, 7] {
             for _ in 0..8 {
-                let mut t = TruthTable::zeros(n);
-                for r in 0..t.len() {
-                    t.set(r, next() % 8 < ones_per_8);
-                }
-                tables.push(t);
+                tables.push(random_table(n, ones_per_8, &mut next));
             }
         }
         for t in &tables {
@@ -225,6 +238,88 @@ fn prime_implicants_match_brute_force() {
                 prime_implicants(t),
                 reference_primes(t),
                 "n={n} table={t:?}"
+            );
+        }
+    }
+}
+
+/// Test-only reference: the Quine–McCluskey column-merging procedure the
+/// library's minimizer used before recursive cofactoring. Each level is
+/// the sorted list of all implicants with the same number of free
+/// variables; a cube's merge partner (same `care`, one 0 bit of `value`
+/// set to 1) is found by binary search, and a merged cube is emitted only
+/// from the pair whose freed variable is above every variable it has
+/// already freed. Cubes that merge with nothing are prime.
+fn qm_primes(table: &TruthTable) -> Vec<Cube> {
+    let nvars = table.nvars();
+    let full = Cube::minterm(0, nvars).care();
+    let mut level: Vec<Cube> = table.ones_iter().map(|r| Cube::minterm(r, nvars)).collect();
+    let mut primes: Vec<Cube> = Vec::new();
+    while !level.is_empty() {
+        let mut merged = vec![false; level.len()];
+        let mut next: Vec<Cube> = Vec::new();
+        for (i, cube) in level.iter().enumerate() {
+            let freed = full & !cube.care();
+            let mut zeros = cube.care() & !cube.value();
+            while zeros != 0 {
+                let bit = zeros & zeros.wrapping_neg();
+                zeros &= zeros - 1;
+                let partner = Cube::new(cube.care(), cube.value() | bit);
+                if let Ok(j) = level.binary_search(&partner) {
+                    merged[i] = true;
+                    merged[j] = true;
+                    if freed < bit {
+                        next.push(Cube::new(cube.care() & !bit, cube.value()));
+                    }
+                }
+            }
+        }
+        primes.extend(
+            level
+                .iter()
+                .zip(&merged)
+                .filter(|(_, &m)| !m)
+                .map(|(c, _)| *c),
+        );
+        next.sort_unstable();
+        level = next;
+    }
+    primes.sort();
+    primes.dedup();
+    primes
+}
+
+/// `prime_implicants` equals Quine–McCluskey, set and order, on seeded
+/// random tables of widths 8..=12 from sparse to dense: the widths where
+/// the brute-force reference is too slow and the table spans many words.
+#[test]
+fn prime_implicants_match_qm_on_wide_tables() {
+    let mut next = splitmix(0xDAC8_6D4E_5A11_0C0D);
+    for n in 8..=12 {
+        for ones_per_8 in [1u64, 2, 4, 6, 7] {
+            for _ in 0..2 {
+                let t = random_table(n, ones_per_8, &mut next);
+                assert_eq!(prime_implicants(&t), qm_primes(&t), "n={n} table={t:?}");
+            }
+        }
+    }
+}
+
+/// `prime_implicants` equals Quine–McCluskey on the fault-free and every
+/// class table of the fault-library golden cells (full fault universe,
+/// which contains the paper-table universe's classes).
+#[test]
+fn prime_implicants_match_qm_on_golden_class_tables() {
+    for cell in golden_cells::golden_cells() {
+        let lib = FaultLibrary::generate_with(&cell, FaultUniverse::full());
+        let tables =
+            std::iter::once(lib.fault_free_table()).chain(lib.classes().iter().map(|c| &c.table));
+        for t in tables {
+            assert_eq!(
+                prime_implicants(t),
+                qm_primes(t),
+                "cell {} table={t:?}",
+                cell.name()
             );
         }
     }
