@@ -3,7 +3,9 @@
 //! each under two fixed input permutations, in both dynamic technologies.
 //!
 //! `dynmos-logic`'s property tests include this file too, to check the
-//! prime-implicant generator on every class table of these cells.
+//! prime-implicant generator and the minimizer on every class table of
+//! these cells, and the `faultlib` golden test runs the binary on their
+//! texts.
 
 use dynmos_netlist::{parse_cell, Cell};
 
@@ -23,6 +25,15 @@ const TECHNOLOGIES: [&str; 2] = ["domino-CMOS", "dynamic-nMOS"];
 /// Every golden cell, in fixture order: shape, then permutation (`id`:
 /// `vK` is `iK`; `rev`: `vK` is `i(width-1-K)`), then technology.
 pub fn golden_cells() -> Vec<Cell> {
+    golden_cell_texts()
+        .iter()
+        .map(|(name, text)| parse_cell(name, text).expect("golden cell parses"))
+        .collect()
+}
+
+/// The `(name, text)` of every golden cell, in the order of
+/// [`golden_cells`], in the paper's cell syntax.
+pub fn golden_cell_texts() -> Vec<(String, String)> {
     let mut cells = Vec::new();
     for (width, shape) in SHAPES {
         for (perm, reversed) in [("id", false), ("rev", true)] {
@@ -38,8 +49,7 @@ pub fn golden_cells() -> Vec<Cell> {
                     "TECHNOLOGY {tech};\nINPUT {};\nOUTPUT z;\nz := {expr};\n",
                     inputs.join(",")
                 );
-                let name = format!("w{width}_{perm}_{tech}");
-                cells.push(parse_cell(&name, &text).expect("golden cell parses"));
+                cells.push((format!("w{width}_{perm}_{tech}"), text));
             }
         }
     }
