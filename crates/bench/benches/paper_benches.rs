@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dynmos_core::{validate_cell, FaultLibrary, FaultUniverse};
+use dynmos_logic::{min_dnf, TruthTable};
 use dynmos_netlist::generate::{
     and_or_tree, array_multiplier, c17_dynamic_nmos, carry_chain, domino_wide_and, fig9_cell,
     random_domino_cell, ripple_adder, single_cell_network,
@@ -111,6 +112,17 @@ fn bench_e6_e10_library_generation(c: &mut Criterion) {
                     .len()
             })
         });
+        // The minimizer alone: every table the 10-input library minimizes.
+        if inputs == 10 {
+            let lib = FaultLibrary::generate_with(&cell, FaultUniverse::full());
+            let tables: Vec<TruthTable> = std::iter::once(lib.fault_free_table())
+                .chain(lib.classes().iter().map(|c| &c.table))
+                .cloned()
+                .collect();
+            group.bench_with_input(BenchmarkId::new("min_dnf", inputs), &tables, |b, tables| {
+                b.iter(|| tables.iter().map(|t| min_dnf(t).len()).sum::<usize>())
+            });
+        }
     }
     group.finish();
     // The paper's own gate, for the record.
@@ -406,8 +418,11 @@ fn time_best3(mut f: impl FnMut()) -> f64 {
 
 /// Measures the fault-simulation and weighted-generation kernels and
 /// writes the machine-readable `BENCH_fsim.json` at the workspace root —
-/// the perf-trajectory record CI validates. Runs on every bench
-/// invocation (it is cheap: a few hundred milliseconds).
+/// the perf-trajectory record CI validates. Runs on every unfiltered
+/// bench invocation (it is cheap: a few hundred milliseconds) and on a
+/// filtered one whose filter is a substring of `fsim_json`, so
+/// `cargo bench -p dynmos-bench --bench paper_benches -- fsim_json` runs
+/// it alone.
 ///
 /// The fault-simulation rows use the same biased weighted patterns
 /// (p = 1/16) as the `fsim_patterns_per_sec` groups, so runs are
@@ -415,6 +430,11 @@ fn time_best3(mut f: impl FnMut()) -> f64 {
 /// `patterns` records the patterns actually applied, and the rate is
 /// computed from that count, never from the nominal budget.
 fn bench_fsim_json(_c: &mut Criterion) {
+    // The criterion shim's filter: the first positional argument.
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|f| !"fsim_json".contains(f.as_str())) {
+        return;
+    }
     let patterns = 2048u64;
     let mut rows = String::new();
     for (name, net, faults) in [

@@ -163,6 +163,26 @@ impl FaultUniverse {
             include_inverter: true,
         }
     }
+
+    /// Whether `fault` is in this universe. [`enumerate_faults`] lists a
+    /// cell's faults of this universe as exactly those of
+    /// [`FaultUniverse::full`] for which this holds, in the same order.
+    pub fn contains(&self, fault: &PhysicalFault) -> bool {
+        match fault {
+            PhysicalFault::InputLineOpen { .. } => self.include_line_opens,
+            PhysicalFault::InverterPOpen
+            | PhysicalFault::InverterPClosed
+            | PhysicalFault::InverterNOpen
+            | PhysicalFault::InverterNClosed => self.include_inverter,
+            _ => true,
+        }
+    }
+
+    /// Whether every fault of `other` is in this universe.
+    pub fn includes(&self, other: FaultUniverse) -> bool {
+        (self.include_line_opens || !other.include_line_opens)
+            && (self.include_inverter || !other.include_inverter)
+    }
 }
 
 impl Default for FaultUniverse {

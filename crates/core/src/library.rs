@@ -14,6 +14,8 @@
 //! numbered classes, and store each class's minimum disjunctive form.
 //! Faults whose function equals the fault-free function (the paper's
 //! `CMOS-1`) land in a separate *timing-only* bucket rather than a class.
+//! [`FaultLibrary::restrict`] derives the library of a smaller fault
+//! universe from a generated one without classifying or minimizing again.
 //!
 //! The paper's internal representation was "a PASCAL program performing
 //! the fault free and the faulty functions"; ours is the same artifact in
@@ -76,9 +78,21 @@ pub struct FaultLibrary {
     fault_free: Bexpr,
     fault_free_table: TruthTable,
     fault_free_string: String,
+    universe: FaultUniverse,
     classes: Vec<FaultClass>,
     timing_only: Vec<PhysicalFault>,
-    total_faults: usize,
+    /// Every enumerated fault in enumeration order, with its class.
+    members: Vec<Member>,
+}
+
+/// One enumerated fault and what classifying it found.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    fault: PhysicalFault,
+    /// Index into the library's classes; `None` for timing-only.
+    class: Option<usize>,
+    /// Whether the fault needs at-speed testing to show.
+    at_speed: bool,
 }
 
 impl FaultLibrary {
@@ -97,36 +111,40 @@ impl FaultLibrary {
         let fault_free_dnf = min_dnf(&fault_free_table);
         let fault_free_string = fault_free_dnf.display(&vars).to_string();
 
-        let faults = enumerate_faults(cell, universe);
-        let total_faults = faults.len();
-        let mut classes: Vec<FaultClass> = Vec::new();
-        let mut timing_only: Vec<PhysicalFault> = Vec::new();
-
-        for fault in faults {
+        // One class per distinct faulty function, in order of first
+        // appearance; the grouping below fills in the members.
+        let mut kinds: Vec<FaultClass> = Vec::new();
+        let mut members: Vec<Member> = Vec::new();
+        for fault in enumerate_faults(cell, universe) {
             let effect: FaultEffect = classify(cell, fault);
             let table = TruthTable::from_expr(&effect.function, nvars);
-            if table == fault_free_table {
-                // No functional difference: CMOS-1 and friends.
-                timing_only.push(fault);
-                continue;
-            }
             let at_speed = effect.requirement == DetectionRequirement::AtSpeed;
-            if let Some(existing) = classes.iter_mut().find(|c| c.table == table) {
-                existing.faults.push(fault);
-                existing.at_speed_only &= at_speed;
-            } else {
-                let dnf = min_dnf(&table);
-                let display_cache = dnf.display(&vars).to_string();
-                classes.push(FaultClass {
-                    id: classes.len() + 1,
-                    faults: vec![fault],
-                    function: dnf.to_expr(),
-                    table,
-                    at_speed_only: at_speed,
-                    display_cache,
-                });
-            }
+            // `None` if the function is unchanged: CMOS-1 and friends are
+            // timing-only.
+            let class = (table != fault_free_table).then(|| {
+                kinds
+                    .iter()
+                    .position(|c| c.table == table)
+                    .unwrap_or_else(|| {
+                        let dnf = min_dnf(&table);
+                        kinds.push(FaultClass {
+                            id: kinds.len() + 1,
+                            faults: Vec::new(),
+                            function: dnf.to_expr(),
+                            table,
+                            at_speed_only: true,
+                            display_cache: dnf.display(&vars).to_string(),
+                        });
+                        kinds.len() - 1
+                    })
+            });
+            members.push(Member {
+                fault,
+                class,
+                at_speed,
+            });
         }
+        let (classes, timing_only) = group(kinds, &mut members);
 
         Self {
             cell_name: cell.name().to_owned(),
@@ -136,9 +154,65 @@ impl FaultLibrary {
             fault_free,
             fault_free_table,
             fault_free_string,
+            universe,
             classes,
             timing_only,
-            total_faults,
+            members,
+        }
+    }
+
+    /// This library restricted to the faults of `universe`, as
+    /// [`FaultLibrary::generate_with`] would build it over `universe`, but
+    /// without classifying or minimizing again.
+    ///
+    /// `universe`'s faults are a subsequence of this library's, so its
+    /// classes are this library's classes that keep a member, in order of
+    /// their first kept member and numbered afresh; each keeps its
+    /// function and table, and `at_speed_only` is recomputed over the kept
+    /// members. Restricting [`FaultUniverse::full`] to
+    /// [`FaultUniverse::paper_table`] keeps class ids as they are: every
+    /// paper fault is enumerated before the line-open and inverter faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe` has faults outside this library's universe.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dynmos_core::{FaultLibrary, FaultUniverse};
+    /// use dynmos_netlist::generate::fig9_cell;
+    ///
+    /// let cell = fig9_cell();
+    /// let full = FaultLibrary::generate_with(&cell, FaultUniverse::full());
+    /// let paper = full.restrict(FaultUniverse::paper_table());
+    /// assert_eq!(paper.render_table(), FaultLibrary::generate(&cell).render_table());
+    /// ```
+    pub fn restrict(&self, universe: FaultUniverse) -> Self {
+        assert!(
+            self.universe.includes(universe),
+            "cannot restrict a library over {:?} to {universe:?}",
+            self.universe
+        );
+        let mut members: Vec<Member> = self
+            .members
+            .iter()
+            .filter(|m| universe.contains(&m.fault))
+            .copied()
+            .collect();
+        let (classes, timing_only) = group(self.classes.clone(), &mut members);
+        Self {
+            cell_name: self.cell_name.clone(),
+            technology: self.technology,
+            vars: self.vars.clone(),
+            nvars: self.nvars,
+            fault_free: self.fault_free.clone(),
+            fault_free_table: self.fault_free_table.clone(),
+            fault_free_string: self.fault_free_string.clone(),
+            universe,
+            classes,
+            timing_only,
+            members,
         }
     }
 
@@ -179,7 +253,12 @@ impl FaultLibrary {
 
     /// Total physical faults enumerated (classes + timing-only members).
     pub fn total_faults(&self) -> usize {
-        self.total_faults
+        self.members.len()
+    }
+
+    /// The fault universe the library covers.
+    pub fn universe(&self) -> FaultUniverse {
+        self.universe
     }
 
     /// The input-name table used for display.
@@ -213,7 +292,7 @@ impl FaultLibrary {
             "Cell '{}': u = {}   ({} faults -> {} classes, {} timing-only)\n",
             self.cell_name,
             self.fault_free_string,
-            self.total_faults,
+            self.total_faults(),
             self.classes.len(),
             self.timing_only.len()
         ));
@@ -243,6 +322,38 @@ impl FaultLibrary {
         }
         out
     }
+}
+
+/// Groups `members` into classes numbered in order of first appearance,
+/// each taking its function and table from `kinds[member.class]`, and
+/// points the members at the new classes. Returns the classes and the
+/// timing-only faults, both in member order.
+fn group(kinds: Vec<FaultClass>, members: &mut [Member]) -> (Vec<FaultClass>, Vec<PhysicalFault>) {
+    let mut kinds: Vec<Option<FaultClass>> = kinds.into_iter().map(Some).collect();
+    let mut renumbered: Vec<Option<usize>> = vec![None; kinds.len()];
+    let mut classes: Vec<FaultClass> = Vec::new();
+    let mut timing_only = Vec::new();
+    for member in members {
+        let Some(kind) = member.class else {
+            timing_only.push(member.fault);
+            continue;
+        };
+        let index = *renumbered[kind].get_or_insert_with(|| {
+            let class = kinds[kind].take().expect("each kind is taken once");
+            classes.push(FaultClass {
+                id: classes.len() + 1,
+                faults: Vec::new(),
+                at_speed_only: true,
+                ..class
+            });
+            classes.len() - 1
+        });
+        let class = &mut classes[index];
+        class.faults.push(member.fault);
+        class.at_speed_only &= member.at_speed;
+        member.class = Some(index);
+    }
+    (classes, timing_only)
 }
 
 impl fmt::Display for FaultLibrary {

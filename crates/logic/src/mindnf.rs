@@ -3,12 +3,21 @@
 //! The paper's fault library stores every faulty function "in the minimum
 //! disjunctive form". [`min_dnf`] reproduces that: prime implicant
 //! generation ([`prime_implicants`], by recursive cofactoring on the
-//! packed truth table) followed by an exact set-cover (branch-and-bound
-//! Petrick-style, falling back to greedy above a size threshold that the
-//! library's "< 12 transistors" gates never reach).
+//! packed truth table), the essential primes read off the packed words,
+//! and an exact set cover of whatever rows the essentials leave open
+//! (branch-and-bound Petrick-style, falling back to greedy above a size
+//! threshold that the library's "< 12 transistors" gates never reach).
+//!
+//! Domino-CMOS and dynamic-nMOS cell functions are unate (positive and
+//! negative respectively): a series-parallel switch network conducts on a
+//! monotone function of its gate inputs. Their faulty functions are too,
+//! as a stuck switch or open line only replaces literals by constants.
+//! Every prime of a unate function is essential (Brayton et al., *Logic
+//! Minimization Algorithms for VLSI Synthesis*, 1984), so on these cells
+//! the essentials are the whole cover and the cover search never runs.
 
 use crate::cube::{Cover, Cube};
-use crate::table::TruthTable;
+use crate::table::{TruthTable, VAR_PATTERNS};
 use crate::vars::VarTable;
 
 /// Above this many `(primes × minterms)` pairs the exact cover search
@@ -126,6 +135,15 @@ fn split_on<T: PartialEq>(
 
 /// Computes a minimum disjunctive form of the function given by `table`.
 ///
+/// The essential primes come straight from the packed truth table: each
+/// prime's rows are expanded word by word (variables 0–5 through fixed
+/// alternating masks, higher variables per word) and folded into a
+/// covered-once and a covered-twice word, and a prime is essential iff it
+/// covers a row that is covered exactly once. Only the rows the
+/// essentials leave open go to the cover search. For a unate function —
+/// every domino and dynamic-nMOS cell function and each of its faulty
+/// functions — no row is left open, so the search never runs.
+///
 /// Minimality is exact (fewest cubes, then fewest literals) for functions up
 /// to the internal branch-and-bound limit; beyond it a greedy cover is
 /// returned (still a valid, irredundant cover of primes).
@@ -155,43 +173,40 @@ pub fn min_dnf(table: &TruthTable) -> Cover {
         return c;
     }
     let primes = prime_implicants(table);
-    let minterms: Vec<u64> = table.ones_iter().collect();
+    let f = table.words();
 
-    // Coverage matrix: which primes cover each minterm.
-    let cover_sets: Vec<Vec<usize>> = minterms
-        .iter()
-        .map(|&m| {
-            primes
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.contains(m))
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .collect();
-
-    // Essential primes: sole coverers of some minterm.
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut covered = vec![false; minterms.len()];
-    for cs in &cover_sets {
-        if cs.len() == 1 && !chosen.contains(&cs[0]) {
-            chosen.push(cs[0]);
+    // Rows covered by at least one prime, and by at least two.
+    let mut once = vec![0u64; f.len()];
+    let mut twice = vec![0u64; f.len()];
+    for p in &primes {
+        for ((o, t), c) in once.iter_mut().zip(&mut twice).zip(cube_words(p, f)) {
+            *t |= *o & c;
+            *o |= c;
         }
     }
-    for &pi in &chosen {
-        for (mi, &m) in minterms.iter().enumerate() {
-            if primes[pi].contains(m) {
-                covered[mi] = true;
+
+    // Essential primes: sole coverers of some row. `open` keeps the rows
+    // no essential prime covers.
+    let mut chosen: Vec<usize> = Vec::new();
+    let mut open = table.clone();
+    for (pi, p) in primes.iter().enumerate() {
+        let mut sole = cube_words(p, f)
+            .zip(once.iter().zip(&twice))
+            .map(|(c, (o, t))| c & o & !t);
+        if sole.any(|w| w != 0) {
+            chosen.push(pi);
+            for (w, c) in open.words_mut().iter_mut().zip(cube_words(p, f)) {
+                *w &= !c;
             }
         }
     }
 
-    let remaining: Vec<usize> = (0..minterms.len()).filter(|&i| !covered[i]).collect();
-    if !remaining.is_empty() {
-        let extra = if primes.len() * minterms.len() <= EXACT_COVER_LIMIT {
-            exact_cover(&primes, &minterms, &cover_sets, &remaining, &chosen)
+    if !open.is_zero() {
+        let minterms: Vec<u64> = open.ones_iter().collect();
+        let extra = if primes.len() * table.count_ones() as usize <= EXACT_COVER_LIMIT {
+            exact_cover(&primes, &minterms)
         } else {
-            greedy_cover(&primes, &minterms, &remaining)
+            greedy_cover(&primes, &minterms)
         };
         chosen.extend(extra);
     }
@@ -205,6 +220,31 @@ pub fn min_dnf(table: &TruthTable) -> Cover {
     out
 }
 
+/// The rows of `cube` as the words of `f`'s table, masked by `f` (which
+/// a prime implies, so the mask only clears the tail of a table over
+/// fewer than 6 variables). Variables 0–5 select bits of every word
+/// through fixed alternating masks; higher variables select whole words.
+fn cube_words<'a>(cube: &Cube, f: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    let (care, value) = (cube.care(), cube.value());
+    let low = (0..6)
+        .filter(|&v| care >> v & 1 == 1)
+        .fold(u64::MAX, |acc, v| {
+            acc & if value >> v & 1 == 1 {
+                VAR_PATTERNS[v]
+            } else {
+                !VAR_PATTERNS[v]
+            }
+        });
+    let (high_care, high_value) = (care >> 6, value >> 6);
+    f.iter().enumerate().map(move |(w, &fw)| {
+        if w as u64 & high_care == high_value {
+            low & fw
+        } else {
+            0
+        }
+    })
+}
+
 /// Convenience: minimal DNF rendered as a canonical string using `vars`.
 ///
 /// This is the exact format of the paper's section-5 fault-class table,
@@ -213,22 +253,13 @@ pub fn min_dnf_string(table: &TruthTable, vars: &VarTable) -> String {
     min_dnf(table).display(vars).to_string()
 }
 
-/// Branch-and-bound exact minimum cover of `remaining` minterms.
-fn exact_cover(
-    primes: &[Cube],
-    minterms: &[u64],
-    cover_sets: &[Vec<usize>],
-    remaining: &[usize],
-    already: &[usize],
-) -> Vec<usize> {
-    // Candidate primes: those covering at least one remaining minterm.
-    let mut candidates: Vec<usize> = remaining
-        .iter()
-        .flat_map(|&mi| cover_sets[mi].iter().copied())
-        .filter(|pi| !already.contains(pi))
+/// Branch-and-bound exact minimum cover of `minterms`.
+fn exact_cover(primes: &[Cube], minterms: &[u64]) -> Vec<usize> {
+    // Candidate primes: those covering at least one of the minterms (no
+    // essential prime does, as the minterms are the rows they leave open).
+    let candidates: Vec<usize> = (0..primes.len())
+        .filter(|&pi| minterms.iter().any(|&m| primes[pi].contains(m)))
         .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
 
     struct Search<'a> {
         primes: &'a [Cube],
@@ -292,27 +323,26 @@ fn exact_cover(
         best: None,
     };
     // Seed with greedy to get an upper bound quickly.
-    let greedy = greedy_cover(primes, minterms, remaining);
+    let greedy = greedy_cover(primes, minterms);
     let glits: u32 = greedy.iter().map(|&p| primes[p].literal_count()).sum();
     s.best = Some((greedy.len(), glits, greedy));
-    s.go(remaining, &mut Vec::new(), &candidates);
+    let open: Vec<usize> = (0..minterms.len()).collect();
+    s.go(&open, &mut Vec::new(), &candidates);
     s.best.expect("seeded").2
 }
 
-/// Greedy cover: repeatedly pick the prime covering the most uncovered
-/// minterms (ties: fewest literals).
-fn greedy_cover(primes: &[Cube], minterms: &[u64], remaining: &[usize]) -> Vec<usize> {
-    let mut uncovered = vec![false; minterms.len()];
-    for &mi in remaining {
-        uncovered[mi] = true;
-    }
+/// Greedy cover of `minterms`: repeatedly pick the prime covering the
+/// most uncovered minterms (ties: fewest literals).
+fn greedy_cover(primes: &[Cube], minterms: &[u64]) -> Vec<usize> {
+    let mut uncovered = vec![true; minterms.len()];
     let gain = |uncovered: &[bool], pi: usize| {
-        remaining
+        minterms
             .iter()
-            .filter(|&&mi| uncovered[mi] && primes[pi].contains(minterms[mi]))
+            .zip(uncovered)
+            .filter(|&(&m, &u)| u && primes[pi].contains(m))
             .count()
     };
-    let mut left = remaining.len();
+    let mut left = minterms.len();
     let mut picked = Vec::new();
     while left > 0 {
         let best = (0..primes.len())
@@ -325,9 +355,9 @@ fn greedy_cover(primes: &[Cube], minterms: &[u64], remaining: &[usize]) -> Vec<u
             .expect("primes nonempty");
         let best_gain = gain(&uncovered, best);
         assert!(best_gain > 0, "prime cover must make progress");
-        for &mi in remaining {
-            if primes[best].contains(minterms[mi]) {
-                uncovered[mi] = false;
+        for (&m, u) in minterms.iter().zip(&mut uncovered) {
+            if primes[best].contains(m) {
+                *u = false;
             }
         }
         left -= best_gain;

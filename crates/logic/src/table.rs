@@ -225,6 +225,11 @@ impl TruthTable {
         &self.bits
     }
 
+    /// The packed rows for writing; callers keep the tail bits clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.bits
+    }
+
     /// The positive cofactor `f[var := 1]` (table width shrinks by one).
     ///
     /// # Panics
@@ -287,26 +292,29 @@ impl TruthTable {
     }
 }
 
+/// Variables 0–5 within one 64-row word: bit `r` of `VAR_PATTERNS[v]` is
+/// bit `v` of `r`. Variables 6 and up are constant across a word.
+pub(crate) const VAR_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// Evaluates `expr` for the 64 consecutive rows in word `w`, vectorized.
 ///
 /// Variables 0..=5 use fixed alternating masks; variable `i >= 6` is
 /// constant within a word, determined by bit `i-6` of `w`.
 fn eval_word_block(expr: &Bexpr, word_index: usize) -> u64 {
-    const PATTERNS: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
     match expr {
         Bexpr::Const(false) => 0,
         Bexpr::Const(true) => u64::MAX,
         Bexpr::Var(v) => {
             let i = v.index();
             if i < 6 {
-                PATTERNS[i]
+                VAR_PATTERNS[i]
             } else if (word_index >> (i - 6)) & 1 == 1 {
                 u64::MAX
             } else {

@@ -324,3 +324,235 @@ fn prime_implicants_match_qm_on_golden_class_tables() {
         }
     }
 }
+
+/// Which cover search [`matrix_min_dnf`] ran on the minterms its
+/// essential primes left open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Search {
+    None,
+    Exact,
+    Greedy,
+}
+
+/// The minterm × prime matrix of a table: each minterm's covering primes,
+/// the essential primes (sole coverers of some minterm) and the minterms
+/// they leave open.
+struct Matrix {
+    primes: Vec<Cube>,
+    minterms: Vec<u64>,
+    cover_sets: Vec<Vec<usize>>,
+    essential: Vec<usize>,
+    open: Vec<usize>,
+}
+
+/// Test-only reference, first half: the minimizer's matrix before
+/// essential primes were read off packed words.
+fn matrix(table: &TruthTable) -> Matrix {
+    let primes = prime_implicants(table);
+    let minterms: Vec<u64> = table.ones_iter().collect();
+    let cover_sets: Vec<Vec<usize>> = minterms
+        .iter()
+        .map(|&m| {
+            (0..primes.len())
+                .filter(|&p| primes[p].contains(m))
+                .collect()
+        })
+        .collect();
+    let mut essential: Vec<usize> = Vec::new();
+    for cs in &cover_sets {
+        if cs.len() == 1 && !essential.contains(&cs[0]) {
+            essential.push(cs[0]);
+        }
+    }
+    let open: Vec<usize> = (0..minterms.len())
+        .filter(|&mi| !essential.iter().any(|&p| primes[p].contains(minterms[mi])))
+        .collect();
+    Matrix {
+        primes,
+        minterms,
+        cover_sets,
+        essential,
+        open,
+    }
+}
+
+/// Test-only reference, second half: the essential primes plus a cover
+/// of the open minterms, by branch and bound up to 200 000 prime ×
+/// minterm pairs and greedily above, sorted by prime.
+fn matrix_min_dnf(m: &Matrix) -> (Vec<Cube>, Search) {
+    let mut chosen = m.essential.clone();
+    let mut search = Search::None;
+    if !m.open.is_empty() {
+        let extra = if m.primes.len() * m.minterms.len() <= 200_000 {
+            search = Search::Exact;
+            matrix_exact_cover(&m.primes, &m.minterms, &m.cover_sets, &m.open, &chosen)
+        } else {
+            search = Search::Greedy;
+            matrix_greedy_cover(&m.primes, &m.minterms, &m.open)
+        };
+        chosen.extend(extra);
+    }
+    chosen.sort_unstable();
+    chosen.dedup();
+    (chosen.into_iter().map(|p| m.primes[p]).collect(), search)
+}
+
+/// Branch and bound over the candidate primes of `remaining`, seeded with
+/// the greedy cover; fewest cubes, then fewest literals.
+fn matrix_exact_cover(
+    primes: &[Cube],
+    minterms: &[u64],
+    cover_sets: &[Vec<usize>],
+    remaining: &[usize],
+    already: &[usize],
+) -> Vec<usize> {
+    let mut candidates: Vec<usize> = remaining
+        .iter()
+        .flat_map(|&mi| cover_sets[mi].iter().copied())
+        .filter(|p| !already.contains(p))
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let lits = |set: &[usize]| -> u32 { set.iter().map(|&p| primes[p].literal_count()).sum() };
+    fn go(
+        primes: &[Cube],
+        minterms: &[u64],
+        open: &[usize],
+        picked: &mut Vec<usize>,
+        cands: &[usize],
+        best: &mut (usize, u32, Vec<usize>),
+        lits: &dyn Fn(&[usize]) -> u32,
+    ) {
+        if open.is_empty() {
+            let l = lits(picked);
+            if picked.len() < best.0 || (picked.len() == best.0 && l < best.1) {
+                *best = (picked.len(), l, picked.clone());
+            }
+            return;
+        }
+        if picked.len() + 1 > best.0 {
+            return;
+        }
+        let covers = |p: usize, mi: usize| primes[p].contains(minterms[mi]);
+        let &target = open
+            .iter()
+            .min_by_key(|&&mi| cands.iter().filter(|&&p| covers(p, mi)).count())
+            .expect("open nonempty");
+        for p in cands.iter().copied().filter(|&p| covers(p, target)) {
+            picked.push(p);
+            let next: Vec<usize> = open.iter().copied().filter(|&mi| !covers(p, mi)).collect();
+            go(primes, minterms, &next, picked, cands, best, lits);
+            picked.pop();
+        }
+    }
+    let greedy = matrix_greedy_cover(primes, minterms, remaining);
+    let mut best = (greedy.len(), lits(&greedy), greedy);
+    go(
+        primes,
+        minterms,
+        remaining,
+        &mut Vec::new(),
+        &candidates,
+        &mut best,
+        &lits,
+    );
+    best.2
+}
+
+/// Repeatedly picks the prime covering the most uncovered minterms of
+/// `remaining` (ties: fewest literals, then the last such prime).
+fn matrix_greedy_cover(primes: &[Cube], minterms: &[u64], remaining: &[usize]) -> Vec<usize> {
+    let mut uncovered = vec![false; minterms.len()];
+    for &mi in remaining {
+        uncovered[mi] = true;
+    }
+    let gain = |uncovered: &[bool], p: usize| {
+        remaining
+            .iter()
+            .filter(|&&mi| uncovered[mi] && primes[p].contains(minterms[mi]))
+            .count()
+    };
+    let mut left = remaining.len();
+    let mut picked = Vec::new();
+    while left > 0 {
+        let best = (0..primes.len())
+            .max_by_key(|&p| {
+                (
+                    gain(&uncovered, p),
+                    std::cmp::Reverse(primes[p].literal_count()),
+                )
+            })
+            .expect("primes nonempty");
+        let best_gain = gain(&uncovered, best);
+        assert!(best_gain > 0, "prime cover must make progress");
+        for &mi in remaining {
+            if primes[best].contains(minterms[mi]) {
+                uncovered[mi] = false;
+            }
+        }
+        left -= best_gain;
+        picked.push(best);
+    }
+    picked
+}
+
+/// `min_dnf` equals the matrix cover, cube for cube, on seeded random
+/// tables of every width 0..=12 and density 1/8..=7/8. Random tables are
+/// not unate, so the essential primes leave minterms open and both the
+/// exact and the greedy cover search run. The exact search is exponential
+/// in the open minterms and the greedy one costs open minterms × primes
+/// per pick, so tables past `EXACT_OPEN_LIMIT` or `GREEDY_WORK_LIMIT` are
+/// left out: the denser tables of 6 and more variables.
+#[test]
+fn min_dnf_matches_matrix_cover_on_random_tables() {
+    const EXACT_OPEN_LIMIT: usize = 24;
+    const GREEDY_WORK_LIMIT: usize = 250_000;
+    let mut runs = Vec::new();
+    for n in 0..=12usize {
+        for ones_per_8 in 1u64..=7 {
+            let mut next = splitmix(0x5EED_C0DE ^ ((n as u64) << 8 | ones_per_8));
+            let t = random_table(n, ones_per_8, &mut next);
+            let m = matrix(&t);
+            let open = m.open.len();
+            let exact = m.primes.len() * m.minterms.len() <= 200_000;
+            if open > EXACT_OPEN_LIMIT && (exact || open * m.primes.len() > GREEDY_WORK_LIMIT) {
+                continue;
+            }
+            let (cubes, search) = matrix_min_dnf(&m);
+            assert_eq!(min_dnf(&t).cubes(), &cubes[..], "n={n} table={t:?}");
+            runs.push((n, search));
+        }
+    }
+    let ran = |s: Search| runs.iter().filter(|r| r.1 == s).count();
+    assert!(
+        ran(Search::Exact) >= 10,
+        "exact cover ran {} times",
+        ran(Search::Exact)
+    );
+    assert!(
+        ran(Search::Greedy) >= 2,
+        "greedy cover ran {} times",
+        ran(Search::Greedy)
+    );
+    assert!(
+        (0..=12).all(|n| runs.iter().any(|r| r.0 == n)),
+        "a width was left out"
+    );
+}
+
+/// `min_dnf` equals the matrix cover on the fault-free and every class
+/// table of the fault-library golden cells, where the essential primes
+/// are the whole cover.
+#[test]
+fn min_dnf_matches_matrix_cover_on_golden_class_tables() {
+    for cell in golden_cells::golden_cells() {
+        let lib = FaultLibrary::generate_with(&cell, FaultUniverse::full());
+        let tables =
+            std::iter::once(lib.fault_free_table()).chain(lib.classes().iter().map(|c| &c.table));
+        for t in tables {
+            let (cubes, search) = matrix_min_dnf(&matrix(t));
+            assert_eq!(min_dnf(t).cubes(), &cubes[..], "cell {}", cell.name());
+            assert_eq!(search, Search::None, "cell {} is unate", cell.name());
+        }
+    }
+}

@@ -70,7 +70,7 @@ pub use length::{
     escape_probability, test_length, test_length_budgeted, test_length_per_fault, try_test_length,
     LengthError,
 };
-pub use list::{network_fault_list, stuck_fault_list, FaultEntry};
+pub use list::{network_fault_list, network_fault_list_from, stuck_fault_list, FaultEntry};
 pub use montecarlo::{
     mc_detection_probabilities, mc_detection_probabilities_budgeted, mc_detection_probability,
     mc_detection_resume, mc_signal_probability, mc_signal_probability_budgeted, mc_signal_resume,

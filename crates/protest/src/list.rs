@@ -4,7 +4,8 @@
 //! domino CMOS the presented models are used; for bipolar and static CMOS
 //! we use the common stuck-at fault model." Each cell's [`FaultLibrary`]
 //! already collapses equivalent faults; the network fault list contains
-//! one entry per (gate, class) plus the primary-input stuck-ats.
+//! one entry per (gate, class) plus the primary-input stuck-ats. A library
+//! is built once per distinct cell of the network, not once per gate.
 //!
 //! [`FaultLibrary`]: dynmos_core::FaultLibrary
 
@@ -22,8 +23,9 @@ pub struct FaultEntry {
     pub at_speed_only: bool,
 }
 
-/// Builds the network fault list: per gate, one entry per fault-library
-/// class; plus stuck-at-0/1 on every primary input.
+/// Builds the network fault list: per gate, one entry per class of its
+/// cell's paper-universe fault library (built once per distinct cell);
+/// plus stuck-at-0/1 on every primary input.
 ///
 /// Timing-only faults (the paper's `CMOS-1`) have no functional entry —
 /// they cannot be put on a *logical* fault list at all; count them via
@@ -41,6 +43,24 @@ pub struct FaultEntry {
 /// assert_eq!(list.len(), 20);
 /// ```
 pub fn network_fault_list(net: &Network) -> Vec<FaultEntry> {
+    let libraries: Vec<FaultLibrary> = net.cells().iter().map(FaultLibrary::generate).collect();
+    network_fault_list_from(net, &libraries)
+}
+
+/// [`network_fault_list`] from libraries already built: `libraries[i]` is
+/// the library of `net.cells()[i]`. The entries come from the libraries
+/// as given, so pass paper-universe libraries (or restrict them with
+/// [`FaultLibrary::restrict`]) for the list `network_fault_list` builds.
+///
+/// # Panics
+///
+/// Panics if there is not one library per cell.
+pub fn network_fault_list_from(net: &Network, libraries: &[FaultLibrary]) -> Vec<FaultEntry> {
+    assert_eq!(
+        libraries.len(),
+        net.cells().len(),
+        "one fault library per cell"
+    );
     let mut out = Vec::new();
     // Primary-input stuck-ats.
     for (k, &pi) in net.primary_inputs().iter().enumerate() {
@@ -53,13 +73,11 @@ pub fn network_fault_list(net: &Network) -> Vec<FaultEntry> {
         }
     }
     // Per-gate library classes.
-    for (gi, _inst) in net.gates().iter().enumerate() {
+    for (gi, inst) in net.gates().iter().enumerate() {
         let g = GateRef(gi as u32);
-        let cell = net.cell_of(g);
-        let lib = FaultLibrary::generate(cell);
-        let vars = lib.vars().clone();
+        let lib = &libraries[inst.cell];
         for class in lib.classes() {
-            let first = class.faults[0].display(&vars).to_string();
+            let first = class.faults[0].display(lib.vars()).to_string();
             out.push(FaultEntry {
                 label: format!("{g}/class{}[{}]", class.id, first),
                 fault: NetworkFault::GateFunction(g, class.function.clone()),
@@ -97,7 +115,42 @@ pub fn stuck_fault_list(net: &Network) -> Vec<FaultEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynmos_netlist::generate::{and_or_tree, c17_dynamic_nmos, fig9_cell, single_cell_network};
+    use dynmos_netlist::generate::{
+        and_or_tree, c17_dynamic_nmos, carry_chain, fig9_cell, single_cell_network,
+    };
+
+    /// The gate entries as built before libraries were shared: one
+    /// library generated per gate.
+    fn per_gate_entries(net: &Network) -> Vec<(String, NetworkFault, bool)> {
+        let mut out = Vec::new();
+        for gi in 0..net.gates().len() {
+            let g = GateRef(gi as u32);
+            let lib = FaultLibrary::generate(net.cell_of(g));
+            for class in lib.classes() {
+                let first = class.faults[0].display(lib.vars()).to_string();
+                out.push((
+                    format!("{g}/class{}[{}]", class.id, first),
+                    NetworkFault::GateFunction(g, class.function.clone()),
+                    class.at_speed_only,
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_library_per_cell_matches_one_per_gate() {
+        for net in [c17_dynamic_nmos(), carry_chain(16), and_or_tree(3)] {
+            assert!(net.cells().len() < net.gates().len(), "cells are shared");
+            let list = network_fault_list(&net);
+            let pis = 2 * net.primary_inputs().len();
+            let gates: Vec<(String, NetworkFault, bool)> = list[pis..]
+                .iter()
+                .map(|e| (e.label.clone(), e.fault.clone(), e.at_speed_only))
+                .collect();
+            assert_eq!(gates, per_gate_entries(&net));
+        }
+    }
 
     #[test]
     fn fig9_network_list_counts() {

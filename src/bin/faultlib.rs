@@ -40,7 +40,7 @@ use dynmos::model::{FaultLibrary, FaultUniverse};
 use dynmos::netlist::generate::single_cell_network;
 use dynmos::netlist::parse_cell;
 use dynmos::protest::{
-    env_budget_ms, network_fault_list, optimize_input_probabilities_budgeted, tier_census,
+    env_budget_ms, network_fault_list_from, optimize_input_probabilities_budgeted, tier_census,
     try_test_length, DetectionEngine, DetectionEstimate, EngineConfig, EstimateMethod, JobEngine,
     Json, LengthError, Parallelism, RunBudget, RunStatus, StopReason, TestabilityConfig,
 };
@@ -205,7 +205,10 @@ fn classic(args: &[String]) -> ExitCode {
             Some(std::time::Instant::now() + std::time::Duration::from_millis(ms));
     }
     let net = single_cell_network(cell);
-    let faults = network_fault_list(&net);
+    // The PROTEST list is the paper-universe restriction of the library
+    // printed above (the library itself when `--full` is off), so the
+    // cell's faults are classified and minimized once.
+    let faults = network_fault_list_from(&net, &[lib.restrict(FaultUniverse::paper_table())]);
     let probs = vec![0.5; net.primary_inputs().len()];
     let config = TestabilityConfig::from_env().with_seed(MC_SEED);
     let mut engine =
