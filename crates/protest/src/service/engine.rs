@@ -20,7 +20,7 @@ use crate::parallel::{panic_message, Parallelism};
 use crate::service::cache::{NetlistFormat, NetworkCache};
 use crate::service::jobs::{build_builtin, optional_u64, JobContext, JobKernel};
 use crate::service::journal::Journal;
-use crate::service::json::Json;
+use crate::service::json::{write_object, Json};
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -196,6 +196,10 @@ pub struct Job {
 }
 
 /// The supervisor's account of one finished job.
+///
+/// [`line`](Self::line) is the record encoded once, when the job
+/// finishes: `faultlib serve` prints those bytes, the journal's `done`
+/// record wraps them, and [`JobEngine::results_line`] joins them.
 pub struct JobRecord {
     /// Engine-assigned id.
     pub id: u64,
@@ -213,27 +217,57 @@ pub struct JobRecord {
     pub error: Option<String>,
     /// The kernel's output (partial for non-completed jobs).
     pub result: Json,
+    /// The record as one JSON line without its newline: the bytes of
+    /// `to_json().to_string()`, encoded from borrowed data.
+    pub line: String,
     /// Wall-clock from pickup to terminal state.
     pub elapsed: Duration,
 }
 
 impl JobRecord {
-    /// The record as a deterministic JSON object (elapsed time is
-    /// excluded — it is not reproducible).
-    pub fn to_json(&self) -> Json {
+    /// The members every record starts with, in wire order; `result`
+    /// follows them. The one definition behind both
+    /// [`to_json`](Self::to_json) and [`line`](Self::line).
+    fn header(&self) -> Vec<(&'static str, Json)> {
         let mut members = vec![
-            ("ok".into(), Json::Bool(true)),
-            ("id".into(), Json::num(self.id)),
-            ("kind".into(), Json::str(self.kind.clone())),
-            ("status".into(), Json::str(self.status.token())),
-            ("legs".into(), Json::num(u64::from(self.legs))),
-            ("retries".into(), Json::num(u64::from(self.retries))),
+            ("ok", Json::Bool(true)),
+            ("id", Json::num(self.id)),
+            ("kind", Json::str(self.kind.clone())),
+            ("status", Json::str(self.status.token())),
+            ("legs", Json::num(u64::from(self.legs))),
+            ("retries", Json::num(u64::from(self.retries))),
         ];
         if let Some(e) = &self.error {
-            members.push(("error".into(), Json::str(e.clone())));
+            members.push(("error", Json::str(e.clone())));
         }
+        members
+    }
+
+    /// The record as a deterministic JSON object (elapsed time is
+    /// excluded — it is not reproducible). Clones the result tree; the
+    /// service itself only ever uses [`line`](Self::line).
+    pub fn to_json(&self) -> Json {
+        let mut members: Vec<(String, Json)> = self
+            .header()
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
         members.push(("result".into(), self.result.clone()));
         Json::Obj(members)
+    }
+
+    /// Encodes the record line, writing the result tree in place.
+    fn encode_line(&self) -> String {
+        let header = self.header();
+        let mut line = String::new();
+        write_object(
+            &mut line,
+            header
+                .iter()
+                .map(|(k, v)| (*k, v))
+                .chain([("result", &self.result)]),
+        );
+        line
     }
 }
 
@@ -248,7 +282,8 @@ pub struct JobEngine {
     shed: u64,
     kinds: Vec<(String, KernelFactory)>,
     journal: Option<Journal>,
-    results: Vec<(u64, Json)>,
+    /// Every terminal record line `(id, line)`, in finishing order.
+    results: Vec<(u64, String)>,
 }
 
 impl JobEngine {
@@ -269,7 +304,7 @@ impl JobEngine {
 
     /// Attaches a write-ahead [`Journal`] in `dir`, replaying any
     /// existing records: finished jobs reload into the
-    /// [`results_json`](Self::results_json) set, interrupted jobs are
+    /// [`results_line`](Self::results_line) set, interrupted jobs are
     /// rebuilt from their journaled request, restored from their last
     /// committed kernel snapshot, and requeued under their original
     /// ids. Returns a summary object
@@ -311,7 +346,6 @@ impl JobEngine {
                 retries: job.retries,
             });
         }
-        self.results.extend(recovery.terminal.iter().cloned());
         let summary = Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
             ("op".into(), Json::str("journal")),
@@ -320,26 +354,33 @@ impl JobEngine {
             ("finished".into(), Json::num(recovery.terminal.len() as u64)),
             ("torn".into(), Json::Bool(recovery.torn_tail)),
         ]);
+        // The journal replay encoded each finished record's line once.
+        self.results.extend(recovery.terminal);
         self.journal = Some(journal);
         Ok(summary)
     }
 
     /// Every terminal record this engine has produced (or recovered
-    /// from its journal), as `{"ok":true,"op":"results","records":
-    /// [...]}` with records in job-id order — the deterministic order
-    /// that makes a recovered session byte-comparable to an
-    /// uninterrupted one.
-    pub fn results_json(&self) -> Json {
-        let mut records = self.results.clone();
+    /// from its journal), as the line `{"ok":true,"op":"results",
+    /// "records":[...]}` with records in job-id order — the
+    /// deterministic order that makes a recovered session
+    /// byte-comparable to an uninterrupted one. The records are the
+    /// stored [`JobRecord::line`]s, joined as they are: the bytes
+    /// stdout printed and the journal committed.
+    pub fn results_line(&self) -> String {
+        let mut records: Vec<&(u64, String)> = self.results.iter().collect();
         records.sort_by_key(|(id, _)| *id);
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
-            ("op".into(), Json::str("results")),
-            (
-                "records".into(),
-                Json::Arr(records.into_iter().map(|(_, r)| r).collect()),
-            ),
-        ])
+        let len: usize = records.iter().map(|(_, line)| line.len() + 1).sum();
+        let mut out = String::with_capacity(len + 40);
+        out.push_str(r#"{"ok":true,"op":"results","records":["#);
+        for (i, (_, line)) in records.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(line);
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Registers an external kernel factory for `kind`. Registered
@@ -617,19 +658,23 @@ impl JobEngine {
             stop,
             error,
             result: job.kernel.output(),
+            line: String::new(),
             elapsed: started.elapsed(),
         };
+        record.line = record.encode_line();
         // Write-ahead: the terminal record is durable before the client
         // sees it, and is what a restarted session replays verbatim.
-        let payload = record.to_json();
         if let Some(journal) = &mut self.journal {
-            if let Err(e) = journal.record_done(record.id, &payload) {
-                record
-                    .error
-                    .get_or_insert(format!("journal write failed: {e}"));
+            if let Err(e) = journal.record_done_line(record.id, &record.line) {
+                // The record is not durable; say so in the line that
+                // stdout and `results` carry.
+                if record.error.is_none() {
+                    record.error = Some(format!("journal write failed: {e}"));
+                    record.line = record.encode_line();
+                }
             }
         }
-        self.results.push((record.id, payload));
+        self.results.push((record.id, record.line.clone()));
         Some(record)
     }
 

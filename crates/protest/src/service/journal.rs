@@ -15,8 +15,10 @@
 //!   returned at a clean checkpoint boundary; `snapshot` is the
 //!   kernel's [`JobKernel::snapshot`](super::JobKernel::snapshot);
 //! - `{"t":"done","id":N,"record":{...}}` — the job reached a terminal
-//!   state; `record` is the full
-//!   [`JobRecord::to_json`](super::JobRecord::to_json) payload.
+//!   state; `record` is the job's
+//!   [`JobRecord::line`](super::JobRecord::line), byte for byte — the
+//!   line stdout printed. Replay encodes each recovered record once, and
+//!   `results` and compaction reuse that line.
 //!
 //! # Durability contract
 //!
@@ -56,7 +58,7 @@
 // fabricate a torn record the recovery logic then trusts, so even
 // "impossible" unwraps are compiler-rejected in this module.
 use crate::chaos::{CrashPoint, FaultPlan};
-use crate::service::json::Json;
+use crate::service::json::{write_object, Json};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -95,8 +97,9 @@ pub struct RecoveredJob {
 pub struct Recovery {
     /// Admitted jobs without a terminal record, in admission order.
     pub jobs: Vec<RecoveredJob>,
-    /// Terminal records `(id, record)` in admission order.
-    pub terminal: Vec<(u64, Json)>,
+    /// Terminal records `(id, line)` in admission order, each the
+    /// record's encoded [`JobRecord::line`](super::JobRecord::line).
+    pub terminal: Vec<(u64, String)>,
     /// The highest job id ever admitted (0 when the journal is fresh).
     pub max_id: u64,
     /// `true` when a torn final line was discarded.
@@ -136,21 +139,26 @@ impl Journal {
         // every recovery commits at least its generation.
         let tmp = dir.join(format!("{JOURNAL_FILE}.tmp"));
         {
-            let mut out = File::create(&tmp)?;
-            let mut line = |record: &Json| writeln!(out, "{record}");
-            line(&Json::Obj(vec![
-                ("t".into(), Json::str("open")),
-                ("gen".into(), Json::num(recovery.generation)),
-            ]))?;
+            let mut text = String::new();
+            write_object(
+                &mut text,
+                [
+                    ("t", &Json::str("open")),
+                    ("gen", &Json::num(recovery.generation)),
+                ],
+            );
+            text.push('\n');
             for (id, record) in &recovery.terminal {
-                line(&done_record(*id, record))?;
+                push_done(&mut text, *id, record);
             }
             for job in &recovery.jobs {
-                line(&admit_record(job.id, &job.request))?;
+                push_admit(&mut text, job.id, &job.request);
                 if let Some(snapshot) = &job.snapshot {
-                    line(&leg_record(job.id, job.legs, job.retries, snapshot.clone()))?;
+                    push_leg(&mut text, job.id, job.legs, job.retries, snapshot);
                 }
             }
+            let mut out = File::create(&tmp)?;
+            out.write_all(text.as_bytes())?;
             out.sync_data()?;
         }
         fs::rename(&tmp, &path)?;
@@ -211,7 +219,9 @@ impl Journal {
     ///
     /// Propagates write/sync failures.
     pub fn record_admit(&mut self, id: u64, request: &Json) -> io::Result<()> {
-        self.append(&admit_record(id, request))
+        let mut line = String::new();
+        push_admit(&mut line, id, request);
+        self.append(line.as_bytes())
     }
 
     /// Appends (and syncs) a leg-completion record carrying the
@@ -227,22 +237,41 @@ impl Journal {
         retries: u32,
         snapshot: Json,
     ) -> io::Result<()> {
-        self.append(&leg_record(id, legs, retries, snapshot))
+        let mut line = String::new();
+        push_leg(&mut line, id, legs, retries, &snapshot);
+        self.append(line.as_bytes())
     }
 
-    /// Appends (and syncs) a terminal record.
+    /// Appends (and syncs) a terminal record given as a tree; encodes it
+    /// and appends it as [`record_done_line`](Self::record_done_line)
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates write/sync failures.
     pub fn record_done(&mut self, id: u64, record: &Json) -> io::Result<()> {
-        self.append(&done_record(id, record))
+        let mut encoded = String::new();
+        record.write_to(&mut encoded);
+        self.record_done_line(id, &encoded)
     }
 
-    /// One committed append: `line + "\n"`, written then `fdatasync`ed,
-    /// with the [`FaultPlan`] crash probe around the write.
-    fn append(&mut self, record: &Json) -> io::Result<()> {
-        let line = format!("{record}\n").into_bytes();
+    /// Appends (and syncs) a terminal record given as its encoded line
+    /// ([`JobRecord::line`](super::JobRecord::line)), which the `done`
+    /// record wraps as it is.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write/sync failures.
+    pub fn record_done_line(&mut self, id: u64, record: &str) -> io::Result<()> {
+        let mut line = String::with_capacity(record.len() + 40);
+        push_done(&mut line, id, record);
+        self.append(line.as_bytes())
+    }
+
+    /// One committed append of `line` (newline included), written then
+    /// `fdatasync`ed, with the [`FaultPlan`] crash probe around the
+    /// write.
+    fn append(&mut self, line: &[u8]) -> io::Result<()> {
         let site = self
             .generation
             .wrapping_mul(0x1_0000_0000)
@@ -250,7 +279,7 @@ impl Journal {
         self.appends += 1;
         match self.plan.as_deref().and_then(|p| p.crash_fault(site)) {
             None => {
-                self.file.write_all(&line)?;
+                self.file.write_all(line)?;
                 self.file.sync_data()?;
                 Ok(())
             }
@@ -264,7 +293,7 @@ impl Journal {
                 std::process::abort();
             }
             Some(CrashPoint::AfterWrite) => {
-                let _ = self.file.write_all(&line);
+                let _ = self.file.write_all(line);
                 let _ = self.file.sync_data();
                 std::process::abort();
             }
@@ -331,7 +360,9 @@ impl Recovery {
                     .ok_or_else(|| corrupt("journal: done record missing \"record\""))?;
                 self.jobs.retain(|j| j.id != id);
                 self.max_id = self.max_id.max(id);
-                self.terminal.push((id, payload.clone()));
+                let mut line = String::new();
+                payload.write_to(&mut line);
+                self.terminal.push((id, line));
             }
             Some(other) => {
                 return Err(corrupt(format!("journal: unknown record type {other:?}")));
@@ -342,30 +373,43 @@ impl Recovery {
     }
 }
 
-fn admit_record(id: u64, request: &Json) -> Json {
-    Json::Obj(vec![
-        ("t".into(), Json::str("admit")),
-        ("id".into(), Json::num(id)),
-        ("request".into(), request.clone()),
-    ])
+/// Appends `{"t":"admit","id":N,"request":{...}}` and a newline.
+fn push_admit(out: &mut String, id: u64, request: &Json) {
+    write_object(
+        out,
+        [
+            ("t", &Json::str("admit")),
+            ("id", &Json::num(id)),
+            ("request", request),
+        ],
+    );
+    out.push('\n');
 }
 
-fn leg_record(id: u64, legs: u32, retries: u32, snapshot: Json) -> Json {
-    Json::Obj(vec![
-        ("t".into(), Json::str("leg")),
-        ("id".into(), Json::num(id)),
-        ("legs".into(), Json::num(u64::from(legs))),
-        ("retries".into(), Json::num(u64::from(retries))),
-        ("snapshot".into(), snapshot),
-    ])
+/// Appends `{"t":"leg","id":N,"legs":L,"retries":R,"snapshot":...}` and
+/// a newline.
+fn push_leg(out: &mut String, id: u64, legs: u32, retries: u32, snapshot: &Json) {
+    write_object(
+        out,
+        [
+            ("t", &Json::str("leg")),
+            ("id", &Json::num(id)),
+            ("legs", &Json::num(u64::from(legs))),
+            ("retries", &Json::num(u64::from(retries))),
+            ("snapshot", snapshot),
+        ],
+    );
+    out.push('\n');
 }
 
-fn done_record(id: u64, record: &Json) -> Json {
-    Json::Obj(vec![
-        ("t".into(), Json::str("done")),
-        ("id".into(), Json::num(id)),
-        ("record".into(), record.clone()),
-    ])
+/// Appends `{"t":"done","id":N,"record":` + the encoded `record` + `}`
+/// and a newline — the bytes of the same object encoded as a tree.
+fn push_done(out: &mut String, id: u64, record: &str) {
+    out.push_str(r#"{"t":"done","id":"#);
+    Json::num(id).write_to(out);
+    out.push_str(r#","record":"#);
+    out.push_str(record);
+    out.push_str("}\n");
 }
 
 #[cfg(test)]

@@ -2,17 +2,23 @@
 //! JSON-lines protocol (parse requests, emit records) without pulling a
 //! serialization crate into the workspace.
 //!
-//! The emitter is deterministic — object members keep insertion order,
-//! integers within `±2^53` print without a decimal point, other finite
-//! numbers use Rust's shortest-roundtrip `f64` formatting — so two runs
-//! producing equal values produce byte-equal lines, which is what the
-//! service's bit-identical differential tests compare.
+//! There is one encoder, [`Json::write_to`], which appends a value to a
+//! `String`; `Display` delegates to it. It is deterministic — object
+//! members keep insertion order, integers within `±2^53` print without
+//! a decimal point, other finite numbers use Rust's shortest-roundtrip
+//! `f64` formatting — so two runs producing equal values produce
+//! byte-equal lines, which is what the service's bit-identical
+//! differential tests compare. Strings are scanned by bytes (every byte
+//! that needs an escape is ASCII) and copied in runs.
 
 #![deny(clippy::unwrap_used)]
 // Durable path (dynlint zone: durable): a panic mid-append can
 // fabricate a torn record the recovery logic then trusts, so even
 // "impossible" unwraps are compiler-rejected in this module.
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// `2^53`: integers below it in magnitude are exact in an `f64`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,10 +75,13 @@ impl Json {
     }
 
     /// The numeric payload as a non-negative integer, if it is one
-    /// exactly (rejects fractions, negatives, and values past `2^53`).
+    /// exactly: rejects fractions, negatives, and everything from `2^53`
+    /// up. `2^53` itself is refused because it is not exact — the
+    /// request text `9007199254740993` parses to it — so an admitted
+    /// integer is always the one the client sent.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
+        (n.fract() == 0.0 && (0.0..MAX_EXACT).contains(&n)).then_some(n as u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -110,6 +119,91 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+impl Json {
+    /// Appends the encoding of `self` to `out`. This is the encoder:
+    /// `Display` and every line the service writes go through it.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(true) => out.push_str("true"),
+            Json::Bool(false) => out.push_str("false"),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => write_object(out, members.iter().map(|(k, v)| (k.as_str(), v))),
+        }
+    }
+}
+
+/// Appends an object built from borrowed members, so a caller can put
+/// a large value (a job result, a request) inside a new object without
+/// cloning it into a [`Json::Obj`] first.
+pub fn write_object<'a>(out: &mut String, members: impl IntoIterator<Item = (&'a str, &'a Json)>) {
+    out.push('{');
+    for (i, (key, value)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, key);
+        out.push(':');
+        value.write_to(out);
+    }
+    out.push('}');
+}
+
+fn write_number(out: &mut String, n: f64) {
+    // Writing into a `String` cannot fail.
+    if !n.is_finite() {
+        // JSON has no NaN/Infinity; null is the honest spelling.
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < MAX_EXACT {
+        // `-0.0` lands here too and prints as `0`.
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Start of the pending run of bytes that need no escape. Every byte
+    // that does is ASCII, so run boundaries are char boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A parse failure: byte position plus message.
@@ -337,70 +431,11 @@ impl Parser<'_> {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    // Start of the pending run of characters that need no escape.
-    let mut run = 0;
-    for (i, ch) in s.char_indices() {
-        let escape = match ch {
-            '"' => Some("\\\""),
-            '\\' => Some("\\\\"),
-            '\n' => Some("\\n"),
-            '\r' => Some("\\r"),
-            '\t' => Some("\\t"),
-            c if (c as u32) < 0x20 => None,
-            _ => continue,
-        };
-        f.write_str(&s[run..i])?;
-        match escape {
-            Some(e) => f.write_str(e)?,
-            None => write!(f, "\\u{:04x}", ch as u32)?,
-        }
-        run = i + ch.len_utf8();
-    }
-    f.write_str(&s[run..])?;
-    f.write_str("\"")
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no NaN/Infinity; null is the honest spelling.
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -458,6 +493,14 @@ mod tests {
         assert_eq!(Json::Num(5.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("5".into()).as_u64(), None);
+        // 2^53 - 1 is the largest exact integer; 2^53 is what the text
+        // 2^53 + 1 parses to, so it cannot be trusted.
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None);
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
     }
 
     #[test]

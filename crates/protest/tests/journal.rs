@@ -332,7 +332,7 @@ fn finished_records_replay_byte_identically() {
     let records = engine.drain();
     assert_eq!(records.len(), 2);
     assert!(records.iter().all(|r| r.status == JobStatus::Completed));
-    let reference = engine.results_json().to_string();
+    let reference = engine.results_line();
     drop(engine);
 
     for generation in 2..4 {
@@ -345,7 +345,7 @@ fn finished_records_replay_byte_identically() {
         assert_eq!(summary.get("finished").and_then(Json::as_u64), Some(2));
         assert_eq!(summary.get("resumed").and_then(Json::as_u64), Some(0));
         assert_eq!(engine.pending(), 0, "finished jobs must not requeue");
-        assert_eq!(engine.results_json().to_string(), reference);
+        assert_eq!(engine.results_line(), reference);
         drop(engine);
     }
     let _ = fs::remove_dir_all(&dir);
@@ -516,7 +516,7 @@ fn journal_from_earlier_build_resumes_byte_identically() {
     let records = engine.drain();
     assert!(records.iter().all(|r| r.status == JobStatus::Completed));
     assert_eq!(
-        engine.results_json().to_string(),
+        engine.results_line(),
         include_str!("fixtures/journal_mid_jobs.results.json").trim_end()
     );
     let _ = fs::remove_dir_all(&dir);

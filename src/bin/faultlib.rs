@@ -317,6 +317,11 @@ fn classic(args: &[String]) -> ExitCode {
 /// `quit`. Malformed lines answer `{"ok":false,"error":...}` and the
 /// session continues.
 ///
+/// Each response line goes out as one `write_all` of its bytes plus the
+/// newline, then one flush: a job record is encoded once, when the job
+/// finishes, and reaches the pipe in one write instead of one per
+/// kilobyte of stdout's line buffer.
+///
 /// With `--journal DIR` the engine write-ahead-journals every
 /// admission, checkpointed leg, and terminal record to
 /// `DIR/journal.jsonl` before acknowledging it, and replays the
@@ -376,10 +381,15 @@ fn serve(args: &[String]) -> ExitCode {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let mut emit = |line: &Json| {
+    let mut buf = String::new();
+    let mut emit = |line: &dyn std::fmt::Display| {
+        use std::fmt::Write as _;
+        buf.clear();
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(buf, "{line}");
         // A broken pipe just ends the session; the status line still
         // goes to stderr.
-        let _ = writeln!(out, "{line}");
+        let _ = out.write_all(buf.as_bytes());
         let _ = out.flush();
     };
     for line in stdin.lock().lines() {
@@ -412,7 +422,7 @@ fn serve(args: &[String]) -> ExitCode {
             Some("run") => {
                 let records = engine.drain();
                 for record in &records {
-                    emit(&record.to_json());
+                    emit(&record.line);
                 }
                 emit(&Json::Obj(vec![
                     ("ok".into(), Json::Bool(true)),
@@ -420,7 +430,7 @@ fn serve(args: &[String]) -> ExitCode {
                     ("completed".into(), Json::num(records.len() as u64)),
                 ]));
             }
-            Some("results") => emit(&engine.results_json()),
+            Some("results") => emit(&engine.results_line()),
             Some("stats") => emit(&engine.stats_json()),
             Some("quit") => {
                 emit(&Json::Obj(vec![
