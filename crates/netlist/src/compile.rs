@@ -34,12 +34,23 @@
 //!
 //! For serial-fault simulation the faulty machine differs from the good
 //! machine only in the transitive fanout cone of the fault site. At build
-//! time this module precomputes, for every gate, the topological
-//! positions of its fanout cone and the primary outputs the cone reaches;
-//! for every net, the same data for the net's *readers* (the cone that
-//! matters when the net itself is forced, since the driver's own
-//! computation is overridden); and the readers themselves, as words of a
-//! bitset over topological positions.
+//! time this module walks the gates in reverse topological order and
+//! fills, per gate, two dense bitsets: its fanout cone over topological
+//! positions, and the primary outputs that cone reaches (the gate's own
+//! output net, if it is one, plus its readers' sets). From them it stores
+//! each cone **once, per net**, in one flat arena: a driven net's entry is
+//! its driver's position followed by its ascending *reader* cone (the
+//! cone that matters when the net itself is forced, since the driver's
+//! own computation is overridden). Readers always sit above their driver,
+//! so a gate's fanout cone is the whole entry of its output net and a
+//! forced net's cone is the entry without the driver. A second arena
+//! holds each net's output set, which is also its driver's. The readers
+//! of each net are kept too, as words of a bitset over topological
+//! positions.
+//!
+//! The build costs O(gates × (gates + POs) / 64 + Σ cone sizes), the sum
+//! running over nets: the bitset unions, then one scan per net to list
+//! its entries.
 //!
 //! The static cone is only an upper bound on the work: under weighted
 //! patterns a fault effect usually dies within a few gates. So
@@ -260,16 +271,25 @@ pub struct CompiledNetwork {
     gate_output: Vec<u32>,
     /// Gate index → topological position.
     gate_pos: Vec<u32>,
-    /// Per gate index: topological positions of the transitive fanout
-    /// cone, **including the gate itself**, ascending.
-    gate_cone: Vec<Box<[u32]>>,
-    /// Per gate index: primary-output indices reachable from the cone.
-    gate_cone_pos: Vec<Box<[u32]>>,
-    /// Per net: topological positions of the reader cone (gates that read
-    /// the net, transitively; excludes the net's driver), ascending.
-    net_cone: Vec<Box<[u32]>>,
-    /// Per net: primary-output indices affected when the net is forced.
-    net_cone_pos: Vec<Box<[u32]>>,
+    /// Cone arena, one entry per net:
+    /// `cones[cone_start[n]..cone_start[n + 1]]` holds the topological
+    /// position of `n`'s driver (driven nets only), then the net's reader
+    /// cone (the gates that read it, transitively), ascending. Since
+    /// readers sit above their driver, a gate's fanout cone is the whole
+    /// entry of its output net and a forced net's cone is the reader
+    /// part, each stored once.
+    cone_start: Vec<u32>,
+    /// Per net: where the reader part of its `cones` entry starts
+    /// (`cone_start[n]`, plus one for a driven net).
+    reader_cone_start: Vec<u32>,
+    cones: Vec<u32>,
+    /// Output arena: `outputs[output_start[n]..output_start[n + 1]]` holds
+    /// the primary-output indices, ascending, that forcing net `n`
+    /// disturbs: `n` itself if it is an output (at its first index when
+    /// listed twice) and every output its reader cone drives. It is also
+    /// the reachable-output set of `n`'s driver.
+    output_start: Vec<u32>,
+    outputs: Vec<u32>,
     /// Readers of net `n` as words of a bitset over topological
     /// positions: `fanout[fanout_start[n]..fanout_start[n + 1]]` holds one
     /// `(block, bits)` per 64-position block with a reader, ascending.
@@ -286,9 +306,46 @@ pub struct CompiledNetwork {
     pi_slots: Vec<u32>,
 }
 
-/// Word-level dense bitset over gate topological positions.
+/// Words of a dense bitset over `n` positions.
 fn bitset_blocks(n: usize) -> usize {
     n.div_ceil(64)
+}
+
+/// Sets bit `i` of `bits`; `u32::MAX` stands for no bit.
+fn set_bit(bits: &mut [u64], i: u32) {
+    if i != u32::MAX {
+        bits[i as usize / 64] |= 1u64 << (i % 64);
+    }
+}
+
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Row `i` of a row-major bitset matrix with `width`-word rows.
+fn row(matrix: &[u64], width: usize, i: usize) -> &[u64] {
+    &matrix[i * width..(i + 1) * width]
+}
+
+/// ORs row `src` of a row-major bitset matrix with `width`-word rows into
+/// row `dst`, which must lie below it.
+fn union_row(matrix: &mut [u64], width: usize, dst: usize, src: usize) {
+    // Split so the source row can be borrowed while the target is written.
+    let (lo, hi) = matrix.split_at_mut(src * width);
+    or_into(&mut lo[dst * width..(dst + 1) * width], &hi[..width]);
+}
+
+/// Appends the set bits of `bits`, ascending, to `out`.
+fn push_positions(out: &mut Vec<u32>, bits: &[u64]) {
+    for (bi, &word) in bits.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            out.push(bi as u32 * 64 + w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
 }
 
 // Thread-safety audit: the parallel fault simulator
@@ -340,96 +397,101 @@ impl CompiledNetwork {
             gate_output.push(inst.output.index() as u32);
         }
 
-        // Transitive fanout cones over a dense bitset, in reverse
-        // topological order: cone(g) = {g} ∪ ⋃ cone(readers of g's out).
+        // Readers of each net as ascending topological positions:
+        // `readers[reader_start[n]..reader_start[n + 1]]`.
         let n_gates = topo.len();
-        let blocks = bitset_blocks(n_gates);
-        // Readers of each net, as topological positions.
-        let mut readers: Vec<Vec<u32>> = vec![Vec::new(); net_count];
+        let mut reader_start = vec![0u32; net_count + 1];
+        for inst in gates {
+            for &input in &inst.inputs {
+                reader_start[input.index() + 1] += 1;
+            }
+        }
+        for n in 0..net_count {
+            reader_start[n + 1] += reader_start[n];
+        }
+        let mut readers = vec![0u32; reader_start[net_count] as usize];
+        let mut fill = reader_start.clone();
         for (pos, &g) in topo.iter().enumerate() {
             for &input in &gates[g.index()].inputs {
-                readers[input.index()].push(pos as u32);
+                readers[fill[input.index()] as usize] = pos as u32;
+                fill[input.index()] += 1;
             }
         }
+        let readers_of =
+            |net: usize| &readers[reader_start[net] as usize..reader_start[net + 1] as usize];
+        // Each net's first index in the output list; later repeats of a
+        // net are not reported.
+        let mut po_index = vec![u32::MAX; net_count];
+        for (i, po) in primary_outputs.iter().enumerate().rev() {
+            po_index[po.index()] = i as u32;
+        }
+
+        // Per topological position, two dense bitsets filled in reverse
+        // topological order: the transitive fanout cone over positions,
+        // cone(g) = {g} ∪ ⋃ cone(readers of g's output), and the primary
+        // outputs it reaches, outs(g) = po(g's output) ∪ ⋃ outs(readers).
+        let blocks = bitset_blocks(n_gates);
+        let po_blocks = bitset_blocks(primary_outputs.len());
         let mut cone_bits = vec![0u64; n_gates * blocks];
+        let mut out_bits = vec![0u64; n_gates * po_blocks];
         for pos in (0..n_gates).rev() {
             let out = gates[topo[pos].index()].output.index();
-            // Split so the union source blocks can be borrowed while the
-            // target row is written.
-            for &r in &readers[out] {
-                let (lo, hi) = cone_bits.split_at_mut(r as usize * blocks);
-                let src = &hi[..blocks];
-                let row = &mut lo[pos * blocks..pos * blocks + blocks];
-                for (d, s) in row.iter_mut().zip(src) {
-                    *d |= s;
-                }
+            for &r in readers_of(out) {
+                union_row(&mut cone_bits, blocks, pos, r as usize);
+                union_row(&mut out_bits, po_blocks, pos, r as usize);
             }
             cone_bits[pos * blocks + pos / 64] |= 1u64 << (pos % 64);
+            set_bit(&mut out_bits[pos * po_blocks..], po_index[out]);
         }
-        let positions_of = |bits: &[u64]| -> Box<[u32]> {
-            let mut out = Vec::new();
-            for (bi, &word) in bits.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let tz = w.trailing_zeros();
-                    out.push(bi as u32 * 64 + tz);
-                    w &= w - 1;
-                }
-            }
-            out.into_boxed_slice()
-        };
-        let po_index_of_net = |net: usize| -> Option<u32> {
-            primary_outputs
-                .iter()
-                .position(|po| po.index() == net)
-                .map(|i| i as u32)
-        };
-        let pos_of_cone = |cone: &[u32], extra_net: Option<usize>| -> Box<[u32]> {
-            let mut pos: Vec<u32> = Vec::new();
-            if let Some(net) = extra_net {
-                if let Some(i) = po_index_of_net(net) {
-                    pos.push(i);
-                }
-            }
-            for &p in cone {
-                let out = gates[topo[p as usize].index()].output.index();
-                if let Some(i) = po_index_of_net(out) {
-                    pos.push(i);
-                }
-            }
-            pos.sort_unstable();
-            pos.dedup();
-            pos.into_boxed_slice()
-        };
 
-        let mut gate_cone = vec![Box::<[u32]>::default(); gates.len()];
-        let mut gate_cone_pos = vec![Box::<[u32]>::default(); gates.len()];
-        for (pos, &g) in topo.iter().enumerate() {
-            let cone = positions_of(&cone_bits[pos * blocks..(pos + 1) * blocks]);
-            gate_cone_pos[g.index()] = pos_of_cone(&cone, None);
-            gate_cone[g.index()] = cone;
+        // One entry per net in each arena. A driven net's entry is its
+        // driver's row, whose lowest position is the driver itself, since
+        // readers sit above it, so the reader part starts one further on.
+        // An undriven net's entry is the union of its readers' rows.
+        let mut driver_pos = vec![u32::MAX; net_count];
+        for (pos, &out) in gate_output.iter().enumerate() {
+            driver_pos[out as usize] = pos as u32;
         }
-        let mut net_cone = Vec::with_capacity(net_count);
-        let mut net_cone_pos = Vec::with_capacity(net_count);
-        let mut scratch_bits = vec![0u64; blocks];
-        for (net, net_readers) in readers.iter().enumerate() {
-            scratch_bits.fill(0);
-            for &r in net_readers {
-                let src = &cone_bits[r as usize * blocks..(r as usize + 1) * blocks];
-                for (d, s) in scratch_bits.iter_mut().zip(src) {
-                    *d |= s;
+        let mut cone_start = Vec::with_capacity(net_count + 1);
+        let mut reader_cone_start = Vec::with_capacity(net_count);
+        let mut cones: Vec<u32> = Vec::new();
+        let mut output_start = Vec::with_capacity(net_count + 1);
+        let mut outputs: Vec<u32> = Vec::new();
+        let mut scratch_cone = vec![0u64; blocks];
+        let mut scratch_out = vec![0u64; po_blocks];
+        for net in 0..net_count {
+            cone_start.push(cones.len() as u32);
+            output_start.push(outputs.len() as u32);
+            let (cone_row, out_row): (&[u64], &[u64]) = match driver_pos[net] {
+                u32::MAX => {
+                    scratch_cone.fill(0);
+                    scratch_out.fill(0);
+                    set_bit(&mut scratch_out, po_index[net]);
+                    for &r in readers_of(net) {
+                        or_into(&mut scratch_cone, row(&cone_bits, blocks, r as usize));
+                        or_into(&mut scratch_out, row(&out_bits, po_blocks, r as usize));
+                    }
+                    (&scratch_cone, &scratch_out)
                 }
-            }
-            let cone = positions_of(&scratch_bits);
-            net_cone_pos.push(pos_of_cone(&cone, Some(net)));
-            net_cone.push(cone);
+                p => (
+                    row(&cone_bits, blocks, p as usize),
+                    row(&out_bits, po_blocks, p as usize),
+                ),
+            };
+            let readers_from = cones.len() as u32 + u32::from(driver_pos[net] != u32::MAX);
+            reader_cone_start.push(readers_from);
+            push_positions(&mut cones, cone_row);
+            push_positions(&mut outputs, out_row);
         }
+        cone_start.push(cones.len() as u32);
+        output_start.push(outputs.len() as u32);
+
         let mut fanout_start = Vec::with_capacity(net_count + 1);
         let mut fanout: Vec<(u32, u64)> = Vec::new();
-        for list in &readers {
+        for net in 0..net_count {
             fanout_start.push(fanout.len() as u32);
             let first = fanout.len();
-            for &r in list {
+            for &r in readers_of(net) {
                 let (block, bit) = (r / 64, 1u64 << (r % 64));
                 match fanout[first..].last_mut() {
                     Some((b, bits)) if *b == block => *bits |= bit,
@@ -442,10 +504,7 @@ impl CompiledNetwork {
             .iter()
             .map(|&o| (fanout_start[o as usize], fanout_start[o as usize + 1]))
             .collect();
-        let mut is_output = vec![false; net_count];
-        for po in primary_outputs {
-            is_output[po.index()] = true;
-        }
+        let is_output = po_index.iter().map(|&i| i != u32::MAX).collect();
 
         Self {
             net_count: net_count as u32,
@@ -454,10 +513,11 @@ impl CompiledNetwork {
             gate_slice,
             gate_output,
             gate_pos,
-            gate_cone,
-            gate_cone_pos,
-            net_cone,
-            net_cone_pos,
+            cone_start,
+            reader_cone_start,
+            cones,
+            output_start,
+            outputs,
             fanout_start,
             fanout,
             output_fanout,
@@ -480,12 +540,24 @@ impl CompiledNetwork {
     /// The topological positions of gate `g`'s transitive fanout cone
     /// (including `g` itself).
     pub fn fanout_cone(&self, g: GateRef) -> &[u32] {
-        &self.gate_cone[g.index()]
+        let out = self.gate_output[self.gate_pos[g.index()] as usize] as usize;
+        &self.cones[self.cone_start[out] as usize..self.cone_start[out + 1] as usize]
     }
 
     /// Primary-output indices reachable from gate `g`.
     pub fn reachable_outputs(&self, g: GateRef) -> &[u32] {
-        &self.gate_cone_pos[g.index()]
+        self.net_outputs(self.gate_output[self.gate_pos[g.index()] as usize] as usize)
+    }
+
+    /// The reader cone of net `net`: the positions a replay may touch when
+    /// the net is forced.
+    fn reader_cone(&self, net: usize) -> &[u32] {
+        &self.cones[self.reader_cone_start[net] as usize..self.cone_start[net + 1] as usize]
+    }
+
+    /// Primary-output indices disturbed when net `net` is forced.
+    fn net_outputs(&self, net: usize) -> &[u32] {
+        &self.outputs[self.output_start[net] as usize..self.output_start[net + 1] as usize]
     }
 
     /// The readers of net slot `slot` as `(block, bits)` bitset words,
@@ -517,8 +589,8 @@ impl CompiledNetwork {
                     slot: n.index() as u32,
                     value: *v,
                 },
-                cone: &self.net_cone[n.index()],
-                outputs: &self.net_cone_pos[n.index()],
+                cone: self.reader_cone(n.index()),
+                outputs: self.net_outputs(n.index()),
             },
             NetworkFault::GateFunction(g, f) => {
                 let inst = &net.gates()[g.index()];
@@ -544,8 +616,8 @@ impl CompiledNetwork {
                         tape,
                         slots_needed: high,
                     },
-                    cone: &self.gate_cone[g.index()],
-                    outputs: &self.gate_cone_pos[g.index()],
+                    cone: self.fanout_cone(*g),
+                    outputs: self.reachable_outputs(*g),
                 }
             }
         }
@@ -857,10 +929,14 @@ impl<'n> PackedEvaluator<'n> {
 }
 
 #[cfg(test)]
+mod cone_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{
-        c17_dynamic_nmos, domino_wide_and, fig9_cell, random_domino_network, single_cell_network,
+        array_multiplier, c17_dynamic_nmos, domino_wide_and, fig9_cell, random_domino_network,
+        single_cell_network,
     };
     use crate::network::NetworkFault;
     use dynmos_logic::Bexpr;
@@ -1074,6 +1150,33 @@ mod tests {
         let last = *net.topo_order().last().unwrap();
         assert!(c.fanout_cone(first).len() > 1);
         assert_eq!(c.fanout_cone(last).len(), 1);
+    }
+
+    #[test]
+    fn each_cone_is_stored_once_per_net() {
+        // A driver's fanout cone past itself and the cone of its forced
+        // output net are one slice of the arena, as are their output
+        // sets: a layout that copies cones per gate fails here.
+        let nets = [
+            c17_dynamic_nmos(),
+            array_multiplier(6),
+            random_domino_network(3, 4, 12),
+        ];
+        for net in &nets {
+            let c = net.compiled();
+            for (gi, inst) in net.gates().iter().enumerate() {
+                let g = GateRef(gi as u32);
+                let stuck = net.prepare_fault(&NetworkFault::NetStuck(inst.output, false));
+                let cone = c.fanout_cone(g);
+                assert_eq!(cone[0], c.gate_pos[gi], "gate {gi}");
+                assert!(
+                    std::ptr::eq(&cone[1..], stuck.cone_positions()),
+                    "gate {gi}"
+                );
+                let outputs = stuck.observable_outputs();
+                assert!(std::ptr::eq(c.reachable_outputs(g), outputs), "gate {gi}");
+            }
+        }
     }
 
     #[test]

@@ -472,6 +472,8 @@ pub struct NetworkBuilder {
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
     driver: Vec<Option<GateRef>>,
+    /// Per net: whether it is a primary input.
+    is_input: Vec<bool>,
 }
 
 impl NetworkBuilder {
@@ -489,7 +491,8 @@ impl NetworkBuilder {
     /// Declares a primary input net.
     pub fn input(&mut self, name: &str) -> NetId {
         let id = self.net(name);
-        if !self.primary_inputs.contains(&id) {
+        if !self.is_input[id.index()] {
+            self.is_input[id.index()] = true;
             self.primary_inputs.push(id);
         }
         id
@@ -504,6 +507,7 @@ impl NetworkBuilder {
         self.net_names.push(name.to_owned());
         self.by_name.insert(name.to_owned(), id);
         self.driver.push(None);
+        self.is_input.push(false);
         id
     }
 
@@ -540,6 +544,10 @@ impl NetworkBuilder {
     /// internal nets, matching arities, acyclicity (topological sort),
     /// level assignment.
     ///
+    /// It then compiles the network (see [`crate::compile`]). Its fault
+    /// cones cost O(gates × (gates + POs) / 64 + Σ cone sizes) to build,
+    /// the sum running over nets.
+    ///
     /// # Errors
     ///
     /// Returns the first [`NetworkError`] found.
@@ -556,7 +564,7 @@ impl NetworkBuilder {
                 });
             }
             let slot = &mut self.driver[inst.output.index()];
-            if slot.is_some() || self.primary_inputs.contains(&inst.output) {
+            if slot.is_some() || self.is_input[inst.output.index()] {
                 return Err(NetworkError::MultipleDrivers(
                     self.net_names[inst.output.index()].clone(),
                 ));
@@ -564,16 +572,15 @@ impl NetworkBuilder {
             *slot = Some(g);
         }
         // Undriven nets.
-        for (gi, inst) in self.gates.iter().enumerate() {
-            let _ = gi;
+        for inst in &self.gates {
             for &n in &inst.inputs {
-                if self.driver[n.index()].is_none() && !self.primary_inputs.contains(&n) {
+                if self.driver[n.index()].is_none() && !self.is_input[n.index()] {
                     return Err(NetworkError::Undriven(self.net_names[n.index()].clone()));
                 }
             }
         }
         for &po in &self.primary_outputs {
-            if self.driver[po.index()].is_none() && !self.primary_inputs.contains(&po) {
+            if self.driver[po.index()].is_none() && !self.is_input[po.index()] {
                 return Err(NetworkError::Undriven(self.net_names[po.index()].clone()));
             }
         }
