@@ -38,7 +38,7 @@ pub struct Token {
 
 impl Token {
     /// The identifier text, if this token is an identifier.
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match &self.kind {
             TokenKind::Ident(s) => Some(s),
             _ => None,
@@ -46,12 +46,12 @@ impl Token {
     }
 
     /// `true` when this token is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)
     }
 
     /// `true` when this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         matches!(&self.kind, TokenKind::Ident(i) if i == s)
     }
 }
@@ -81,15 +81,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All comments in order.
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// The last 1-based line of any token or comment (0 for empty input).
-    pub fn last_line(&self) -> u32 {
-        let t = self.tokens.last().map_or(0, |t| t.line);
-        let c = self.comments.last().map_or(0, |c| c.line);
-        t.max(c)
-    }
 }
 
 /// Lexes `source` into tokens plus comments. Unterminated constructs

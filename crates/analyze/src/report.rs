@@ -20,14 +20,14 @@ pub struct Report {
 
 impl Report {
     /// Merges one file's results in; call [`Report::finish`] once done.
-    pub fn absorb(&mut self, file: String, result: crate::rules::FileResult) {
+    pub(crate) fn absorb(&mut self, file: String, result: crate::rules::FileResult) {
         self.files.push(file);
         self.violations.extend(result.violations);
         self.suppressed.extend(result.suppressed);
     }
 
     /// Sorts everything into deterministic order.
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         self.files.sort();
         self.violations.sort();
         self.suppressed.sort();

@@ -21,7 +21,7 @@ use crate::scanner::{scan, Scanned};
 use crate::zones::{Manifest, Zone};
 
 /// Every rule dynlint knows, in diagnostic order.
-pub const KNOWN_RULES: &[&str] = &[
+pub(crate) const KNOWN_RULES: &[&str] = &[
     "no-unordered-iteration",
     "no-wallclock-in-kernels",
     "no-ambient-rng",
@@ -63,7 +63,7 @@ pub struct FileResult {
 }
 
 /// Analyzes one file's source under the manifest's zone map.
-pub fn check_file(path: &str, source: &str, manifest: &Manifest) -> FileResult {
+pub(crate) fn check_file(path: &str, source: &str, manifest: &Manifest) -> FileResult {
     let lexed = lex(source);
     let scanned = scan(&lexed);
     let zone = manifest.zone_of(path);

@@ -12,7 +12,7 @@ pub struct LineRange {
 }
 
 impl LineRange {
-    pub fn contains(&self, line: u32) -> bool {
+    pub(crate) fn contains(&self, line: u32) -> bool {
         line >= self.start && line <= self.end
     }
 }
@@ -26,13 +26,13 @@ pub struct Scanned {
 
 impl Scanned {
     /// `true` when `line` falls inside a `#[cfg(test)]` module.
-    pub fn in_test_code(&self, line: u32) -> bool {
+    pub(crate) fn in_test_code(&self, line: u32) -> bool {
         self.test_ranges.iter().any(|r| r.contains(line))
     }
 }
 
 /// Scans the token stream for cfg(test) modules.
-pub fn scan(lexed: &Lexed) -> Scanned {
+pub(crate) fn scan(lexed: &Lexed) -> Scanned {
     let toks = &lexed.tokens;
     let mut out = Scanned::default();
     let mut i = 0usize;

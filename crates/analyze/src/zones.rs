@@ -53,7 +53,7 @@ impl Zone {
         }
     }
 
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Zone::Kernel => "kernel",
             Zone::Merge => "merge",
@@ -160,7 +160,7 @@ impl Manifest {
     /// Classifies a repo-relative path (first matching pattern wins).
     /// Paths with no match default to `Infra` — the manifest in-tree
     /// ends with a `"**"` catch-all so this is belt-and-suspenders.
-    pub fn zone_of(&self, path: &str) -> Zone {
+    pub(crate) fn zone_of(&self, path: &str) -> Zone {
         for (pattern, zone) in &self.zones {
             if glob_match(pattern, path) {
                 return *zone;
@@ -172,7 +172,7 @@ impl Manifest {
     /// `true` when the manifest grants `path` a blanket allowance for
     /// `rule` (used for whole-file exemptions that would otherwise
     /// need a pragma on every line, e.g. the engine's budget clocks).
-    pub fn allows(&self, path: &str, rule: &str) -> bool {
+    pub(crate) fn allows(&self, path: &str, rule: &str) -> bool {
         self.allows
             .iter()
             .any(|(pattern, rules)| glob_match(pattern, path) && rules.iter().any(|r| r == rule))
@@ -224,7 +224,7 @@ fn parse_string_array(value: &str) -> Option<Vec<String>> {
 }
 
 /// Segment-wise glob match: `*` within a segment, `**` spans segments.
-pub fn glob_match(pattern: &str, path: &str) -> bool {
+pub(crate) fn glob_match(pattern: &str, path: &str) -> bool {
     let pat: Vec<&str> = pattern.split('/').collect();
     let segs: Vec<&str> = path.split('/').collect();
     match_segments(&pat, &segs)

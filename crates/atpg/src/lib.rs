@@ -22,10 +22,9 @@ pub mod podem;
 pub mod service;
 pub mod tri;
 
-pub use service::{register_atpg, AtpgJob};
-
 pub use podem::{
     apply_twice, generate_test, generate_test_set, generate_test_set_budgeted,
-    generate_test_set_par, AtpgCheckpoint, AtpgOutcome, AtpgRun, TestSetReport,
+    generate_test_set_par, AtpgCheckpoint, AtpgOutcome,
 };
+pub use service::{register_atpg, AtpgJob};
 pub use tri::Tri;

@@ -326,17 +326,6 @@ pub struct TestSetReport {
     pub aborted: Vec<String>,
 }
 
-impl TestSetReport {
-    /// Fault coverage over the non-redundant universe: 1.0 when no aborts.
-    pub fn coverage_of_irredundant(&self, total_faults: usize) -> f64 {
-        let irredundant = total_faults - self.redundant.len();
-        if irredundant == 0 {
-            return 1.0;
-        }
-        (irredundant - self.aborted.len()) as f64 / irredundant as f64
-    }
-}
-
 /// Generates a deterministic test set covering every detectable fault in
 /// `faults`, using fault dropping (each new test is fault-simulated and
 /// all newly covered faults are skipped).
@@ -427,11 +416,6 @@ pub struct AtpgCheckpoint {
 }
 
 impl AtpgCheckpoint {
-    /// How many fault-list entries the run has walked past.
-    pub fn faults_done(&self) -> usize {
-        self.next_fault
-    }
-
     /// The checkpoint as a JSON object. Tests serialize as `'0'`/`'1'`
     /// bit strings (the same encoding the service's `atpg` output
     /// uses), coverage flags as booleans — everything round-trips

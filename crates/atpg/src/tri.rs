@@ -32,7 +32,7 @@ pub enum Tri {
 
 impl Tri {
     /// Converts a definite bool.
-    pub fn from_bool(b: bool) -> Self {
+    pub(crate) fn from_bool(b: bool) -> Self {
         if b {
             Tri::One
         } else {
@@ -41,7 +41,7 @@ impl Tri {
     }
 
     /// `Some(bool)` when definite.
-    pub fn to_bool(self) -> Option<bool> {
+    pub(crate) fn to_bool(self) -> Option<bool> {
         match self {
             Tri::Zero => Some(false),
             Tri::One => Some(true),
@@ -69,7 +69,7 @@ impl Tri {
 
     /// Kleene negation.
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Tri {
+    pub(crate) fn not(self) -> Tri {
         match self {
             Tri::Zero => Tri::One,
             Tri::One => Tri::Zero,
@@ -78,7 +78,7 @@ impl Tri {
     }
 
     /// `true` when definite.
-    pub fn is_known(self) -> bool {
+    pub(crate) fn is_known(self) -> bool {
         self != Tri::X
     }
 }

@@ -32,13 +32,13 @@ pub struct Row {
 impl Row {
     /// `true` when the faulty output depends on the previous output —
     /// the sequential-behaviour signature.
-    pub fn is_sequential(&self) -> bool {
+    pub(crate) fn is_sequential(&self) -> bool {
         self.faulty_prev0 != self.faulty_prev1
     }
 }
 
 /// Measures the table at switch level.
-pub fn table() -> Vec<Row> {
+pub(crate) fn table() -> Vec<Row> {
     let nor = static_nor2();
     let faults = FaultSet::single(SwitchFault::StuckOpen(nor.pulldown_a));
     let mut rows = Vec::new();
@@ -70,7 +70,7 @@ pub fn table() -> Vec<Row> {
 }
 
 /// Renders the measured table alongside the paper's expected column.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let rows = table();
     let mut out = String::new();
     out.push_str("Fig. 1: static CMOS NOR, pull-down transistor A stuck-open\n");

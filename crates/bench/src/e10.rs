@@ -25,7 +25,7 @@ pub struct Point {
 
 /// Sweeps the switch count. Each point averages `seeds` random cells of
 /// ~`switches` literals over `max(switches/2, 3)`-ish inputs.
-pub fn sweep(seeds: u64) -> Vec<Point> {
+pub(crate) fn sweep(seeds: u64) -> Vec<Point> {
     (2..=14)
         .map(|switches| {
             let nvars = (switches / 2).clamp(2, 6);
@@ -48,7 +48,7 @@ pub fn sweep(seeds: u64) -> Vec<Point> {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let pts = sweep(5);
     let mut out = String::new();
     out.push_str("fault library generation cost vs switch-transistor count\n");

@@ -23,10 +23,10 @@ pub struct CellResult {
 
 /// Ratios swept (only ratios whose steady state is still logically
 /// correct — case b; smaller ratios are case a, stuck for any period).
-pub const RATIOS: [f64; 4] = [10.0, 6.0, 4.0, 3.0];
+pub(crate) const RATIOS: [f64; 4] = [10.0, 6.0, 4.0, 3.0];
 
 /// Periods swept, as multiples of the fault-free high→low delay.
-pub const PERIOD_FACTORS: [f64; 6] = [1.0, 1.5, 2.0, 4.0, 8.0, 16.0];
+pub(crate) const PERIOD_FACTORS: [f64; 6] = [1.0, 1.5, 2.0, 4.0, 8.0, 16.0];
 
 /// Builds the detection matrix.
 pub fn matrix() -> Vec<CellResult> {
@@ -53,7 +53,7 @@ pub fn matrix() -> Vec<CellResult> {
 }
 
 /// Renders the detection matrix.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let cells = matrix();
     let mut out = String::new();
     out.push_str("CMOS-3 case b: at-speed detectability (D = detected as s0-z, . = escapes)\n");

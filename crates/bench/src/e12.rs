@@ -21,7 +21,7 @@ use dynmos_protest::{
 
 /// Patterns needed to reach full coverage for the three strategies on the
 /// wide-AND showcase: `(uniform, optimized, deterministic)`.
-pub fn patterns_to_full_coverage(n: usize, seed: u64) -> (u64, u64, u64) {
+pub(crate) fn patterns_to_full_coverage(n: usize, seed: u64) -> (u64, u64, u64) {
     let net = single_cell_network(domino_wide_and(n));
     let faults = network_fault_list(&net);
     let sim = FaultSimulator::new(&net);
@@ -63,7 +63,7 @@ pub struct LeakageRow {
 /// activity current proportional to the gate count (each gate charging
 /// its node capacitance once per cycle) plus per-gate junction leakage
 /// with 20% spread. The ratio of the short to the total shrinks ~1/N.
-pub fn leakage_table() -> Vec<LeakageRow> {
+pub(crate) fn leakage_table() -> Vec<LeakageRow> {
     let vdd = 5.0; // volts, 1986-era supply
     let r_short = 30_000.0; // ohms: T1 + pull-down path
     let i_short = vdd / r_short;
@@ -83,7 +83,7 @@ pub fn leakage_table() -> Vec<LeakageRow> {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::new();
     let n = 10;
     let (uni, opt, det) = patterns_to_full_coverage(n, 0xACE1);

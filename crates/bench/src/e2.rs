@@ -23,10 +23,10 @@ pub struct Point {
 }
 
 /// The ratio sweep (descending: healthy ratios first).
-pub const RATIOS: [f64; 8] = [10.0, 6.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0];
+pub(crate) const RATIOS: [f64; 8] = [10.0, 6.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0];
 
 /// Sweeps the resistance ratio with the default RC parameters.
-pub fn series() -> Vec<Point> {
+pub(crate) fn series() -> Vec<Point> {
     let params = RcParams::typical();
     let r2 = 10_000.0;
     let good = contention(f64::INFINITY, r2, 1.0, params);
@@ -44,7 +44,7 @@ pub fn series() -> Vec<Point> {
 }
 
 /// Renders the sweep.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let pts = series();
     let mut out = String::new();
     out.push_str("Fig. 2: inverter with T1 stuck-closed, R(T1)/R(T2) sweep\n");

@@ -16,11 +16,11 @@ use dynmos_switch::gates::domino_gate;
 use dynmos_switch::{Logic, Sim};
 
 /// The corpus of transmission functions exercised.
-pub const CORPUS: [&str; 6] = ["a", "a*b", "a+b", "a*(b+c)", "a*(b+c)+d*e", "a*(b+c*(d+e))"];
+pub(crate) const CORPUS: [&str; 6] = ["a", "a*b", "a+b", "a*(b+c)", "a*(b+c)+d*e", "a*(b+c*(d+e))"];
 
 /// Checks `z == T` exhaustively for one transmission function; returns
 /// the number of mismatching input words (0 expected).
-pub fn check_function(src: &str) -> usize {
+pub(crate) fn check_function(src: &str) -> usize {
     let mut vars = VarTable::new();
     let t = parse_expr(src, &mut vars).expect("corpus is valid");
     let n = vars.len();
@@ -39,7 +39,7 @@ pub fn check_function(src: &str) -> usize {
 ///
 /// Returns `(z1_transitions, z2_transitions)` — each must be
 /// monotone 0→…→0/1 with at most one rise.
-pub fn fig5_monotone_rise(word: u64) -> (Vec<Logic>, Vec<Logic>) {
+pub(crate) fn fig5_monotone_rise(word: u64) -> (Vec<Logic>, Vec<Logic>) {
     // Build the two-gate net as one switch circuit: z1 feeds the second
     // gate's input externally (we step the two gates in sequence through
     // shared evaluation, sampling between relaxation steps). For glitch
@@ -99,7 +99,7 @@ pub fn fig5_monotone_rise(word: u64) -> (Vec<Logic>, Vec<Logic>) {
 
 /// `true` if a sampled output sequence is a monotone rise: once high it
 /// never falls back during evaluation.
-pub fn is_monotone_rise(seq: &[Logic]) -> bool {
+pub(crate) fn is_monotone_rise(seq: &[Logic]) -> bool {
     let mut seen_one = false;
     for &l in seq {
         match l {
@@ -112,7 +112,7 @@ pub fn is_monotone_rise(seq: &[Logic]) -> bool {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::new();
     out.push_str("Figs. 3-5: domino gates compute their transmission functions\n");
     for src in CORPUS {

@@ -15,10 +15,10 @@ use dynmos_switch::gates::dynamic_nmos_gate;
 use dynmos_switch::{Logic, Sim};
 
 /// Gate corpus.
-pub const CORPUS: [&str; 5] = ["a", "a*b", "a+b", "a*b+c", "a*(b+c)+d"];
+pub(crate) const CORPUS: [&str; 5] = ["a", "a*b", "a+b", "a*b+c", "a*(b+c)+d"];
 
 /// Checks `z == /T` exhaustively; returns mismatch count.
-pub fn check_inverse(src: &str) -> usize {
+pub(crate) fn check_inverse(src: &str) -> usize {
     let mut vars = VarTable::new();
     let t = parse_expr(src, &mut vars).expect("corpus is valid");
     let n = vars.len();
@@ -33,7 +33,7 @@ pub fn check_inverse(src: &str) -> usize {
 
 /// Checks that late data changes (after `Φ2` fell) cannot corrupt the
 /// result; returns the number of corrupted words (0 expected).
-pub fn check_latching(src: &str) -> usize {
+pub(crate) fn check_latching(src: &str) -> usize {
     let mut vars = VarTable::new();
     let t = parse_expr(src, &mut vars).expect("corpus is valid");
     let n = vars.len();
@@ -64,7 +64,7 @@ pub fn check_latching(src: &str) -> usize {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::new();
     out.push_str("Fig. 6: dynamic nMOS gates compute the inverse transmission function\n");
     for src in CORPUS {

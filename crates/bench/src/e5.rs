@@ -15,7 +15,7 @@ use dynmos_netlist::{parse_cell, Cell};
 
 /// The fixed corpus: paper example + hand-written cells of both dynamic
 /// technologies.
-pub fn fixed_corpus() -> Vec<Cell> {
+pub(crate) fn fixed_corpus() -> Vec<Cell> {
     vec![
         dynmos_netlist::generate::fig9_cell(),
         parse_cell(
@@ -52,7 +52,7 @@ pub fn fixed_corpus() -> Vec<Cell> {
 }
 
 /// Seeded random domino cells extending the corpus.
-pub fn random_corpus(count: u64) -> Vec<Cell> {
+pub(crate) fn random_corpus(count: u64) -> Vec<Cell> {
     (0..count)
         .map(|seed| random_domino_cell(seed, 4, 6))
         .collect()
@@ -72,7 +72,7 @@ pub struct CellSummary {
 }
 
 /// Validates the full corpus.
-pub fn validate_corpus(random_cells: u64) -> Vec<CellSummary> {
+pub(crate) fn validate_corpus(random_cells: u64) -> Vec<CellSummary> {
     let mut cells = fixed_corpus();
     cells.extend(random_corpus(random_cells));
     cells
@@ -90,7 +90,7 @@ pub fn validate_corpus(random_cells: u64) -> Vec<CellSummary> {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let summaries = validate_corpus(4);
     let mut out = String::new();
     out.push_str("Section 3 theorems, exhaustive switch-level validation:\n");

@@ -9,7 +9,7 @@ use dynmos_core::FaultLibrary;
 use dynmos_netlist::generate::fig9_cell;
 
 /// The paper's expected table: (faults of the class, minimal DNF).
-pub const GOLDEN: [(&[&str], &str); 10] = [
+pub(crate) const GOLDEN: [(&[&str], &str); 10] = [
     (&["a closed"], "b+c+d*e"),
     (&["a open"], "d*e"),
     (&["b closed", "c closed"], "a+d*e"),
@@ -24,7 +24,7 @@ pub const GOLDEN: [(&[&str], &str); 10] = [
 
 /// Generates the library and checks it against [`GOLDEN`]; returns the
 /// list of deviations (empty when exact).
-pub fn deviations() -> Vec<String> {
+pub(crate) fn deviations() -> Vec<String> {
     let lib = FaultLibrary::generate(&fig9_cell());
     let vars = lib.vars().clone();
     let mut out = Vec::new();
@@ -61,7 +61,7 @@ pub fn deviations() -> Vec<String> {
 }
 
 /// Renders the library plus the golden comparison.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let lib = FaultLibrary::generate(&fig9_cell());
     let mut out = lib.render_table();
     let devs = deviations();

@@ -28,10 +28,10 @@ pub struct Summary {
 }
 
 /// Confidence used throughout the experiment.
-pub const CONFIDENCE: f64 = 0.999;
+pub(crate) const CONFIDENCE: f64 = 0.999;
 
 /// The benchmark circuits.
-pub fn circuits() -> Vec<(String, Network)> {
+pub(crate) fn circuits() -> Vec<(String, Network)> {
     vec![
         ("wide-and-8".into(), single_cell_network(domino_wide_and(8))),
         (
@@ -45,7 +45,7 @@ pub fn circuits() -> Vec<(String, Network)> {
 }
 
 /// Runs the PROTEST pipeline on every circuit.
-pub fn summaries() -> Vec<Summary> {
+pub(crate) fn summaries() -> Vec<Summary> {
     circuits()
         .into_iter()
         .map(|(name, net)| {
@@ -74,7 +74,7 @@ pub fn summaries() -> Vec<Summary> {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let rows = summaries();
     let mut out = String::new();
     out.push_str(&format!(

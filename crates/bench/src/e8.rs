@@ -15,7 +15,7 @@ use dynmos_protest::PatternSource;
 
 /// Patterns needed until every net has seen both values, or `None` within
 /// `budget`.
-pub fn patterns_until_a2(net: &Network, seed: u64, budget: u64) -> Option<u64> {
+pub(crate) fn patterns_until_a2(net: &Network, seed: u64, budget: u64) -> Option<u64> {
     let n = net.primary_inputs().len();
     let mut src = PatternSource::uniform(seed, n);
     let mut ev = PackedEvaluator::new(net);
@@ -44,7 +44,7 @@ pub fn patterns_until_a2(net: &Network, seed: u64, budget: u64) -> Option<u64> {
 }
 
 /// The circuits measured.
-pub fn circuits() -> Vec<(String, Network)> {
+pub(crate) fn circuits() -> Vec<(String, Network)> {
     vec![
         ("and-or-tree-3".into(), and_or_tree(3)),
         ("carry-chain-6".into(), carry_chain(6)),
@@ -54,7 +54,7 @@ pub fn circuits() -> Vec<(String, Network)> {
 }
 
 /// Renders the experiment: median over several seeds.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let mut out = String::new();
     out.push_str("A2 coverage by uniform random patterns (every net charged AND discharged)\n");
     out.push_str(" circuit        nets  patterns needed (seeds 0..5)\n");

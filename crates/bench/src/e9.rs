@@ -30,7 +30,7 @@ pub struct Summary {
 }
 
 /// The circuits measured.
-pub fn circuits() -> Vec<(String, Network)> {
+pub(crate) fn circuits() -> Vec<(String, Network)> {
     vec![
         ("fig9".into(), single_cell_network(fig9_cell())),
         ("and-or-tree-3".into(), and_or_tree(3)),
@@ -41,7 +41,7 @@ pub fn circuits() -> Vec<(String, Network)> {
 }
 
 /// Runs ATPG + apply-twice + fault simulation on every circuit.
-pub fn summaries() -> Vec<Summary> {
+pub(crate) fn summaries() -> Vec<Summary> {
     circuits()
         .into_iter()
         .map(|(name, net)| {
@@ -65,7 +65,7 @@ pub fn summaries() -> Vec<Summary> {
 }
 
 /// Renders the experiment.
-pub fn run() -> String {
+pub(crate) fn run() -> String {
     let rows = summaries();
     let mut out = String::new();
     out.push_str("PODEM-style ATPG with fault dropping; test set applied twice (A1/A2)\n");

@@ -23,7 +23,7 @@
 //! | inverter p/n closed       | like `CMOS-3`: ratioed, at-speed |
 
 use crate::fault::{substitute_site, PhysicalFault};
-use dynmos_logic::{Bexpr, TruthTable};
+use dynmos_logic::Bexpr;
 use dynmos_netlist::{Cell, Technology};
 use std::fmt;
 
@@ -70,15 +70,6 @@ pub struct FaultEffect {
     /// The stuck-at name when the faulty function coincides with one
     /// (`None` for general function changes).
     pub stuck_at: Option<StuckAt>,
-}
-
-impl FaultEffect {
-    /// `true` if the faulty function differs from `fault_free` on some
-    /// input — i.e. a functional test pattern exists.
-    pub fn is_detectable_functionally(&self, fault_free: &TruthTable, nvars: usize) -> bool {
-        let faulty = TruthTable::from_expr(&self.function, nvars);
-        faulty != *fault_free
-    }
 }
 
 impl fmt::Display for FaultEffect {
@@ -303,7 +294,7 @@ mod tests {
         let effect = classify(&cell, PhysicalFault::EvaluateClosed);
         assert_eq!(effect.requirement, DetectionRequirement::TimingOnly);
         let good = TruthTable::from_expr(&cell.logic_function(), 5);
-        assert!(!effect.is_detectable_functionally(&good, 5));
+        assert_eq!(TruthTable::from_expr(&effect.function, 5), good);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl PhysicalFault {
     /// The paper-style display name, using `vars` for input names (e.g.
     /// "a closed", "CMOS-2", "s0-b"). Clocking-transistor faults use the
     /// domino names; for technology-aware naming (the paper's
-    /// `nMOS-(2n+1)` style) use [`PhysicalFault::display_for`].
+    /// `nMOS-(2n+1)` style) use `PhysicalFault::display_for`.
     pub fn display<'a>(&'a self, vars: &'a VarTable) -> DisplayFault<'a> {
         DisplayFault {
             fault: self,
@@ -86,7 +86,11 @@ impl PhysicalFault {
     /// Technology-aware display: dynamic nMOS precharge faults print as
     /// the paper's `Tn+1 open` / `Tn+1 closed` instead of the domino
     /// `CMOS-4` / `CMOS-3` names.
-    pub fn display_for<'a>(&'a self, vars: &'a VarTable, tech: Technology) -> DisplayFault<'a> {
+    pub(crate) fn display_for<'a>(
+        &'a self,
+        vars: &'a VarTable,
+        tech: Technology,
+    ) -> DisplayFault<'a> {
         DisplayFault {
             fault: self,
             vars,

@@ -20,7 +20,7 @@
 //! * [`PhysicalFault`] — the paper's fault universe per technology, with
 //!   the paper's own names (`nMOS-1…2n+2`, `CMOS-1…4`),
 //! * [`classify()`](classify()) — the section-3 theorems mapping each physical fault to
-//!   its [`FaultEffect`],
+//!   its [`FaultEffect`](crate::classify::FaultEffect),
 //! * [`FaultLibrary`] — automatic generation of all faulty functions with
 //!   fault-equivalence collapsing and minimal-DNF output, reproducing the
 //!   paper's section-5 table exactly,
@@ -43,7 +43,7 @@ pub mod fault;
 pub mod library;
 pub mod theorems;
 
-pub use classify::{classify, DetectionRequirement, FaultEffect, StuckAt};
+pub use classify::{classify, DetectionRequirement, StuckAt};
 pub use fault::{enumerate_faults, substitute_site, FaultUniverse, PhysicalFault};
-pub use library::{FaultClass, FaultLibrary};
-pub use theorems::{check_combinational, validate_cell, CellValidation, FaultValidation};
+pub use library::FaultLibrary;
+pub use theorems::validate_cell;

@@ -216,26 +216,6 @@ impl FaultLibrary {
         }
     }
 
-    /// Cell name.
-    pub fn cell_name(&self) -> &str {
-        &self.cell_name
-    }
-
-    /// The cell's technology.
-    pub fn technology(&self) -> dynmos_netlist::Technology {
-        self.technology
-    }
-
-    /// Number of input variables.
-    pub fn nvars(&self) -> usize {
-        self.nvars
-    }
-
-    /// The fault-free logic function.
-    pub fn fault_free(&self) -> &Bexpr {
-        &self.fault_free
-    }
-
     /// Truth table of the fault-free function.
     pub fn fault_free_table(&self) -> &TruthTable {
         &self.fault_free_table

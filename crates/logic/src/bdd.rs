@@ -65,7 +65,7 @@ impl BddRef {
     pub const TRUE: BddRef = BddRef(1);
 
     /// `true` if this is a terminal node.
-    pub fn is_const(self) -> bool {
+    pub(crate) fn is_const(self) -> bool {
         self.0 < 2
     }
 }
@@ -262,11 +262,6 @@ impl Bdd {
         bdd
     }
 
-    /// The configured node budget, if any.
-    pub fn node_limit(&self) -> Option<usize> {
-        self.node_limit
-    }
-
     /// Number of live nodes (incl. the two terminals) — the size metric.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -394,13 +389,13 @@ impl Bdd {
     }
 
     /// Conjunction.
-    pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
+    pub(crate) fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
         self.try_and(a, b)
             .expect("node budget exhausted; use the try_* operations")
     }
 
     /// Conjunction, failing gracefully when the node budget runs out.
-    pub fn try_and(&mut self, a: BddRef, b: BddRef) -> Result<BddRef, BddOverflow> {
+    pub(crate) fn try_and(&mut self, a: BddRef, b: BddRef) -> Result<BddRef, BddOverflow> {
         if a == BddRef::FALSE || b == BddRef::FALSE {
             return Ok(BddRef::FALSE);
         }
@@ -428,13 +423,13 @@ impl Bdd {
     }
 
     /// Complement.
-    pub fn not(&mut self, a: BddRef) -> BddRef {
+    pub(crate) fn not(&mut self, a: BddRef) -> BddRef {
         self.try_not(a)
             .expect("node budget exhausted; use the try_* operations")
     }
 
     /// Complement, failing gracefully when the node budget runs out.
-    pub fn try_not(&mut self, a: BddRef) -> Result<BddRef, BddOverflow> {
+    pub(crate) fn try_not(&mut self, a: BddRef) -> Result<BddRef, BddOverflow> {
         if a == BddRef::FALSE {
             return Ok(BddRef::TRUE);
         }

@@ -55,7 +55,7 @@ impl Cube {
     }
 
     /// The universal cube (empty product, always true).
-    pub fn universe() -> Self {
+    pub(crate) fn universe() -> Self {
         Self { care: 0, value: 0 }
     }
 
@@ -88,7 +88,7 @@ impl Cube {
     }
 
     /// Converts to a [`Bexpr`] product term.
-    pub fn to_expr(&self) -> Bexpr {
+    pub(crate) fn to_expr(self) -> Bexpr {
         let mut lits = Vec::new();
         let mut care = self.care;
         while care != 0 {
@@ -106,12 +106,12 @@ impl Cube {
 
     /// Pretty-prints as e.g. `a*/c` with names from `vars`; the universal
     /// cube prints as `1`.
-    pub fn display<'a>(&'a self, vars: &'a VarTable) -> DisplayCube<'a> {
+    pub(crate) fn display<'a>(&'a self, vars: &'a VarTable) -> DisplayCube<'a> {
         DisplayCube { cube: self, vars }
     }
 }
 
-/// Borrowed pretty-printer returned by [`Cube::display`].
+/// Borrowed pretty-printer returned by `Cube::display`.
 #[derive(Debug, Clone, Copy)]
 pub struct DisplayCube<'a> {
     cube: &'a Cube,
@@ -207,7 +207,7 @@ impl Cover {
 
     /// Converts to a disjunction [`Bexpr`].
     pub fn to_expr(&self) -> Bexpr {
-        Bexpr::or(self.cubes.iter().map(Cube::to_expr).collect())
+        Bexpr::or(self.cubes.iter().map(|c| c.to_expr()).collect())
     }
 
     /// Pretty-prints as `term+term+…` (or `0` for the empty cover), with

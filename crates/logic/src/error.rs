@@ -30,11 +30,6 @@ impl ParseExprError {
         }
     }
 
-    /// Byte offset into the parsed string at which the error occurred.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
     /// The diagnostic message (without position information).
     pub fn message(&self) -> &str {
         &self.message
@@ -57,7 +52,6 @@ mod tests {
     fn display_includes_offset_and_message() {
         let e = ParseExprError::new(7, "unexpected token");
         assert_eq!(e.to_string(), "unexpected token at offset 7");
-        assert_eq!(e.offset(), 7);
         assert_eq!(e.message(), "unexpected token");
     }
 

@@ -158,7 +158,7 @@ impl Bexpr {
     /// Simultaneous substitution: replaces every variable `v` with
     /// `subs(v)` in a single pass, so substituted content is never
     /// re-substituted (no variable capture — the pitfall of chaining
-    /// [`Bexpr::substitute_expr`] when source and target variable spaces
+    /// one-variable substitutions when source and target variable spaces
     /// overlap).
     ///
     /// # Example
@@ -187,23 +187,6 @@ impl Bexpr {
         }
     }
 
-    /// Replaces every occurrence of `var` with `repl`.
-    pub fn substitute_expr(&self, var: VarId, repl: &Bexpr) -> Bexpr {
-        match self {
-            Bexpr::Const(b) => Bexpr::Const(*b),
-            Bexpr::Var(v) => {
-                if *v == var {
-                    repl.clone()
-                } else {
-                    Bexpr::Var(*v)
-                }
-            }
-            Bexpr::Not(e) => Bexpr::not(e.substitute_expr(var, repl)),
-            Bexpr::And(ts) => Bexpr::and(ts.iter().map(|t| t.substitute_expr(var, repl)).collect()),
-            Bexpr::Or(ts) => Bexpr::or(ts.iter().map(|t| t.substitute_expr(var, repl)).collect()),
-        }
-    }
-
     /// Collects the set of variables referenced, as a sorted, deduplicated list.
     pub fn support(&self) -> Vec<VarId> {
         let mut out = Vec::new();
@@ -223,15 +206,6 @@ impl Bexpr {
                     t.collect_vars(out);
                 }
             }
-        }
-    }
-
-    /// Number of nodes in the expression tree (a size metric for benches).
-    pub fn node_count(&self) -> usize {
-        match self {
-            Bexpr::Const(_) | Bexpr::Var(_) => 1,
-            Bexpr::Not(e) => 1 + e.node_count(),
-            Bexpr::And(ts) | Bexpr::Or(ts) => 1 + ts.iter().map(Bexpr::node_count).sum::<usize>(),
         }
     }
 
@@ -379,19 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn substitute_expr_replaces_internal_node() {
-        let mut vars = VarTable::new();
-        let x1 = parse_expr("a*(b+c)", &mut vars).unwrap();
-        let u = parse_expr("x1+d*e", &mut vars).unwrap();
-        let x1_id = vars.get("x1").unwrap();
-        let expanded = u.substitute_expr(x1_id, &x1);
-        let direct = parse_expr("a*(b+c)+d*e", &mut vars).unwrap();
-        for w in 0..64u64 {
-            assert_eq!(expanded.eval_word(w), direct.eval_word(w));
-        }
-    }
-
-    #[test]
     fn support_is_sorted_dedup() {
         let mut vars = VarTable::new();
         let e = parse_expr("b*a+a*c", &mut vars).unwrap();
@@ -433,13 +394,5 @@ mod tests {
         for row in 0..(1u64 << n) {
             assert_eq!((packed >> row) & 1 == 1, e.eval_word(row), "row {row}");
         }
-    }
-
-    #[test]
-    fn node_count_counts_all_nodes() {
-        let mut vars = VarTable::new();
-        let e = parse_expr("a*b+c", &mut vars).unwrap();
-        // Or( And(a,b), c ) = 1 + (1+2) + 1
-        assert_eq!(e.node_count(), 5);
     }
 }

@@ -41,13 +41,13 @@ pub mod prob;
 pub mod table;
 pub mod vars;
 
-pub use bdd::{Bdd, BddMark, BddOverflow, BddRef};
+pub use bdd::{Bdd, BddOverflow, BddRef};
 pub use cube::{Cover, Cube};
 pub use error::ParseExprError;
 pub use expr::Bexpr;
 pub use mindnf::{min_dnf, min_dnf_string, prime_implicants};
 pub use packed::PackedWeight;
-pub use parser::{parse_assignments, parse_expr};
+pub use parser::parse_expr;
 pub use prob::{signal_probability, signal_probability_expr};
 pub use table::TruthTable;
 pub use vars::{VarId, VarTable};

@@ -12,7 +12,7 @@ use crate::vars::VarId;
 use std::fmt;
 
 /// Practical cap on truth-table width; `2^MAX_VARS` bits must fit in memory.
-pub const MAX_VARS: usize = 24;
+pub(crate) const MAX_VARS: usize = 24;
 
 /// A complete truth table over `nvars` variables.
 ///
@@ -246,11 +246,6 @@ impl TruthTable {
             out.set(r, self.get(full));
         }
         out
-    }
-
-    /// `true` when `var` is *essential*: the two cofactors differ.
-    pub fn depends_on(&self, var: VarId) -> bool {
-        self.cofactor(var, false) != self.cofactor(var, true)
     }
 
     fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
@@ -489,15 +484,6 @@ mod tests {
             assert_eq!(f0.get(r), e0.eval_word(full));
             assert_eq!(f1.get(r), e1.eval_word(full | 1));
         }
-    }
-
-    #[test]
-    fn depends_on_detects_essential_variables() {
-        let mut vars = VarTable::new();
-        let e = parse_expr("a*b+a*/b", &mut vars).unwrap(); // == a
-        let t = TruthTable::from_expr(&e, 2);
-        assert!(t.depends_on(VarId(0)));
-        assert!(!t.depends_on(VarId(1)));
     }
 
     #[test]

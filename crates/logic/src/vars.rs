@@ -97,14 +97,6 @@ impl VarTable {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Iterates `(VarId, name)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (VarId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (VarId(i as u32), n.as_str()))
-    }
 }
 
 #[cfg(test)]
@@ -129,16 +121,6 @@ mod tests {
         assert_eq!(t.name(x), "x42");
         assert_eq!(t.get("x42"), Some(x));
         assert_eq!(t.get("nope"), None);
-    }
-
-    #[test]
-    fn iter_in_id_order() {
-        let mut t = VarTable::new();
-        for n in ["d", "c", "a"] {
-            t.intern(n);
-        }
-        let collected: Vec<_> = t.iter().map(|(_, n)| n).collect();
-        assert_eq!(collected, vec!["d", "c", "a"]);
     }
 
     #[test]

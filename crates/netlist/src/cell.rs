@@ -9,7 +9,7 @@ use std::fmt;
 /// technology, input list, output name, switching-network assignments and
 /// the output assignment.
 ///
-/// Compile into a [`Cell`] with [`CellDescription::compile`], or go
+/// Compile into a [`Cell`] with `CellDescription::compile`, or go
 /// straight from text with [`crate::parse_cell`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellDescription {
@@ -106,7 +106,7 @@ impl CellDescription {
     /// Returns [`CompileCellError`] on parse failures, undefined or
     /// duplicate names, a missing output assignment, or an empty input
     /// list.
-    pub fn compile(&self) -> Result<Cell, CompileCellError> {
+    pub(crate) fn compile(&self) -> Result<Cell, CompileCellError> {
         if self.inputs.is_empty() {
             return Err(CompileCellError::NoInputs);
         }
@@ -237,11 +237,6 @@ impl Cell {
     /// Number of inputs.
     pub fn input_count(&self) -> usize {
         self.input_names.len()
-    }
-
-    /// Input names in order (variable `i` is `input_names()[i]`).
-    pub fn input_names(&self) -> &[String] {
-        &self.input_names
     }
 
     /// Output name.

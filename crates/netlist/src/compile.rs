@@ -300,8 +300,6 @@ pub struct CompiledNetwork {
     output_fanout: Vec<(u32, u32)>,
     /// Per net: whether it is a primary output.
     is_output: Vec<bool>,
-    /// Primary-output net slots in declaration order.
-    po_slots: Vec<u32>,
     /// Primary-input net slots in declaration order.
     pi_slots: Vec<u32>,
 }
@@ -522,7 +520,6 @@ impl CompiledNetwork {
             fanout,
             output_fanout,
             is_output,
-            po_slots: primary_outputs.iter().map(|n| n.index() as u32).collect(),
             pi_slots: primary_inputs.iter().map(|n| n.index() as u32).collect(),
         }
     }
@@ -533,19 +530,19 @@ impl CompiledNetwork {
     }
 
     /// Number of value slots an evaluator allocates per lane word.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slot_count as usize
     }
 
     /// The topological positions of gate `g`'s transitive fanout cone
     /// (including `g` itself).
-    pub fn fanout_cone(&self, g: GateRef) -> &[u32] {
+    pub(crate) fn fanout_cone(&self, g: GateRef) -> &[u32] {
         let out = self.gate_output[self.gate_pos[g.index()] as usize] as usize;
         &self.cones[self.cone_start[out] as usize..self.cone_start[out + 1] as usize]
     }
 
     /// Primary-output indices reachable from gate `g`.
-    pub fn reachable_outputs(&self, g: GateRef) -> &[u32] {
+    pub(crate) fn reachable_outputs(&self, g: GateRef) -> &[u32] {
         self.net_outputs(self.gate_output[self.gate_pos[g.index()] as usize] as usize)
     }
 
@@ -582,7 +579,11 @@ impl CompiledNetwork {
     ///
     /// Panics if a gate-function fault references a variable beyond its
     /// gate's input count (the same misuse the interpreter rejects).
-    pub fn prepare<'n>(&'n self, net: &'n Network, fault: &NetworkFault) -> PreparedFault<'n> {
+    pub(crate) fn prepare<'n>(
+        &'n self,
+        net: &'n Network,
+        fault: &NetworkFault,
+    ) -> PreparedFault<'n> {
         match fault {
             NetworkFault::NetStuck(n, v) => PreparedFault {
                 kind: PreparedKind::Stuck {
@@ -744,11 +745,6 @@ impl<'n> PackedEvaluator<'n> {
         }
     }
 
-    /// Words per slot.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Evaluates the good machine on one batch. `pi_words` is
     /// input-major: `width` consecutive words per primary input, in
     /// declaration order. Returns the net values (`net_count × width`
@@ -779,13 +775,6 @@ impl<'n> PackedEvaluator<'n> {
     /// The net values of the last [`Self::eval`] call.
     pub fn net_values(&self) -> &[u64] {
         &self.good[..self.net.compiled().net_count as usize * self.width]
-    }
-
-    /// The packed good-machine value of primary output `po_index`, lane
-    /// word `w`.
-    pub fn po_word(&self, po_index: usize, w: usize) -> u64 {
-        let c = self.net.compiled();
-        self.good[c.po_slots[po_index] as usize * self.width + w]
     }
 
     fn sync_faulty(&mut self) {
@@ -892,7 +881,7 @@ impl<'n> PackedEvaluator<'n> {
     /// Replays `fault` against the last evaluated batch and returns, for
     /// each lane word, the OR over all primary outputs of
     /// `good XOR faulty` — bit `k` set means pattern `k` detects the
-    /// fault. `out.len()` must equal [`Self::width`].
+    /// fault. `out.len()` must equal `Self::width`.
     ///
     /// # Panics
     ///
@@ -1121,12 +1110,6 @@ mod tests {
                     let ctx = format!("seed {seed} fault {fault:?} word {w}");
                     assert_eq!(diff[w], ev1.fault_diff64(&prepared), "{ctx}");
                     assert_eq!(diff[w], reference_diff(&net, b, &fault), "{ctx}");
-                }
-            }
-            for (w, b) in narrow.iter().enumerate() {
-                ev1.eval(b);
-                for po in 0..net.primary_outputs().len() {
-                    assert_eq!(ev.po_word(po, w), ev1.po_word(po, 0), "word {w} po {po}");
                 }
             }
         }

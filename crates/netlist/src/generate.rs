@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Builds the domino AND2 cell.
-pub fn domino_and2() -> Cell {
+pub(crate) fn domino_and2() -> Cell {
     parse_cell(
         "and2",
         "TECHNOLOGY domino-CMOS; INPUT a,b; OUTPUT z; z := a*b;",
@@ -23,7 +23,7 @@ pub fn domino_and2() -> Cell {
 }
 
 /// Builds the domino OR2 cell.
-pub fn domino_or2() -> Cell {
+pub(crate) fn domino_or2() -> Cell {
     parse_cell(
         "or2",
         "TECHNOLOGY domino-CMOS; INPUT a,b; OUTPUT z; z := a+b;",
@@ -33,7 +33,7 @@ pub fn domino_or2() -> Cell {
 
 /// Builds the domino 3-input majority cell `maj = a*b + a*c + b*c` — the
 /// carry function of a full adder (monotone, hence domino-friendly).
-pub fn domino_maj3() -> Cell {
+pub(crate) fn domino_maj3() -> Cell {
     parse_cell(
         "maj3",
         "TECHNOLOGY domino-CMOS; INPUT a,b,c; OUTPUT z; z := a*b+a*c+b*c;",
@@ -61,7 +61,7 @@ pub fn domino_wide_and(n: usize) -> Cell {
 }
 
 /// Builds the dynamic nMOS NAND2 cell (`z = /(a*b)`).
-pub fn dynamic_nand2() -> Cell {
+pub(crate) fn dynamic_nand2() -> Cell {
     parse_cell(
         "nand2",
         "TECHNOLOGY dynamic-nMOS; INPUT a,b; OUTPUT z; z := a*b;",
@@ -69,17 +69,8 @@ pub fn dynamic_nand2() -> Cell {
     .expect("static cell text is valid")
 }
 
-/// Builds the dynamic nMOS NOR2 cell (`z = /(a+b)`).
-pub fn dynamic_nor2() -> Cell {
-    parse_cell(
-        "nor2",
-        "TECHNOLOGY dynamic-nMOS; INPUT a,b; OUTPUT z; z := a+b;",
-    )
-    .expect("static cell text is valid")
-}
-
 /// Builds the bipolar XOR2 cell (direct function, stuck-at fault model).
-pub fn bipolar_xor2() -> Cell {
+pub(crate) fn bipolar_xor2() -> Cell {
     parse_cell(
         "xor2",
         "TECHNOLOGY bipolar; INPUT a,b; OUTPUT z; z := a*/b+/a*b;",
@@ -365,13 +356,13 @@ pub fn bipartite_phases(net: &Network) -> Option<Vec<Phase>> {
 }
 
 /// Builds the bipolar AND2 cell (direct function, stuck-at model).
-pub fn bipolar_and2() -> Cell {
+pub(crate) fn bipolar_and2() -> Cell {
     parse_cell("and2", "TECHNOLOGY bipolar; INPUT a,b; OUTPUT z; z := a*b;")
         .expect("static cell text is valid")
 }
 
 /// Builds the bipolar OR2 cell (direct function, stuck-at model).
-pub fn bipolar_or2() -> Cell {
+pub(crate) fn bipolar_or2() -> Cell {
     parse_cell("or2", "TECHNOLOGY bipolar; INPUT a,b; OUTPUT z; z := a+b;")
         .expect("static cell text is valid")
 }

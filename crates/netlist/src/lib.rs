@@ -19,7 +19,8 @@
 //! * [`Technology`] — the five technology-dependent parameters of the
 //!   paper's cell description (nMOS pull-down, static CMOS, bipolar,
 //!   dynamic nMOS, domino CMOS),
-//! * [`CellDescription`] / [`parse_cell`] — the description language,
+//! * [`CellDescription`](crate::cell::CellDescription) / [`parse_cell`] —
+//!   the description language,
 //! * [`Cell`] — a compiled cell: flattened transmission function plus the
 //!   technology-determined logic function of the output,
 //! * [`Network`] — combinational networks of cell instances with
@@ -44,10 +45,9 @@ pub mod parse;
 pub mod tech;
 pub mod to_switch;
 
-pub use bench_format::{parse_bench, ParseBenchError, C17_BENCH};
-pub use cell::{Cell, CellDescription, CompileCellError};
-pub use compile::{CompiledNetwork, PackedEvaluator, PreparedFault};
-pub use network::{GateRef, NetId, Network, NetworkBuilder, NetworkError, NetworkFault, Phase};
-pub use parse::{parse_cell, ParseCellError};
+pub use bench_format::{parse_bench, C17_BENCH};
+pub use cell::Cell;
+pub use compile::{PackedEvaluator, PreparedFault};
+pub use network::{GateRef, NetId, Network, NetworkBuilder, NetworkFault, Phase};
+pub use parse::parse_cell;
 pub use tech::Technology;
-pub use to_switch::{domino_to_switch, SwitchRealization, ToSwitchError};

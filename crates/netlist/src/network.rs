@@ -62,7 +62,7 @@ pub enum Phase {
 
 impl Phase {
     /// The complementary phase.
-    pub fn other(self) -> Phase {
+    pub(crate) fn other(self) -> Phase {
         match self {
             Phase::Phi1 => Phase::Phi2,
             Phase::Phi2 => Phase::Phi1,
@@ -251,11 +251,6 @@ impl Network {
     /// Logic depth: the maximum gate level (PIs are level 0).
     pub fn depth(&self) -> usize {
         self.levels.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The level of gate `g` (1 + max level of its drivers).
-    pub fn level(&self, g: GateRef) -> usize {
-        self.levels[g.index()]
     }
 
     /// Evaluates the network on one input assignment; returns primary

@@ -63,7 +63,7 @@ impl From<CompileCellError> for ParseCellError {
 /// # Errors
 ///
 /// Returns [`ParseCellError`] on malformed text or a description that
-/// fails to compile (see [`CellDescription::compile`]).
+/// fails to compile (see `CellDescription::compile`).
 ///
 /// # Example
 ///
@@ -88,7 +88,7 @@ pub fn parse_cell(name: &str, text: &str) -> Result<Cell, ParseCellError> {
 /// # Errors
 ///
 /// Returns [`ParseCellError`] on malformed text.
-pub fn parse_description(name: &str, text: &str) -> Result<CellDescription, ParseCellError> {
+pub(crate) fn parse_description(name: &str, text: &str) -> Result<CellDescription, ParseCellError> {
     let mut technology: Option<Technology> = None;
     let mut inputs: Option<Vec<String>> = None;
     let mut output: Option<String> = None;

@@ -70,14 +70,8 @@ impl Technology {
         matches!(self, Technology::DynamicNmos | Technology::DominoCmos)
     }
 
-    /// `true` if a stuck-open transistor can create sequential behaviour —
-    /// the static technologies of the paper's introduction.
-    pub fn stuck_open_is_sequential(self) -> bool {
-        matches!(self, Technology::StaticCmos | Technology::NmosPullDown)
-    }
-
     /// The keyword used in cell descriptions.
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             Technology::NmosPullDown => "nMOS-pull-down",
             Technology::StaticCmos => "static-CMOS",
@@ -184,12 +178,5 @@ mod tests {
         assert!(Technology::DynamicNmos.uses_dynamic_fault_model());
         assert!(!Technology::StaticCmos.uses_dynamic_fault_model());
         assert!(!Technology::Bipolar.uses_dynamic_fault_model());
-    }
-
-    #[test]
-    fn sequential_hazard_only_for_static() {
-        assert!(Technology::StaticCmos.stuck_open_is_sequential());
-        assert!(!Technology::DominoCmos.stuck_open_is_sequential());
-        assert!(!Technology::DynamicNmos.stuck_open_is_sequential());
     }
 }

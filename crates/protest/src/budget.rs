@@ -16,7 +16,7 @@
 //!   merge rule in [`crate::parallel`] is chunk-invisible — produces
 //!   results **bit-identical** to an uninterrupted serial run;
 //! - exact enumeration whose row space exceeds
-//!   [`RunBudget::effective_exact_rows`] refuses up front
+//!   `RunBudget::effective_exact_rows` refuses up front
 //!   ([`StopReason::RowCap`]) so callers can degrade to the symbolic
 //!   tiers of [`crate::DetectionEngine`] (BDD, then cutting bounds)
 //!   instead of hanging.
@@ -53,7 +53,7 @@ pub enum StopReason {
     RowCap,
     /// A sharded worker panicked twice (threaded attempt and serial
     /// retry): the run stopped at the last merged chunk boundary with a
-    /// valid checkpoint, and the [`crate::ShardError`] travels next to
+    /// valid checkpoint, and the [`ShardError`](crate::parallel::ShardError) travels next to
     /// this reason so a supervisor can retry from the checkpoint.
     WorkerFailed,
 }
@@ -142,12 +142,12 @@ impl RunBudget {
     /// set — kernels then skip chunking entirely and run their
     /// single-pass fast path (the row cap needs no chunking: it is
     /// checked once, up front).
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_patterns.is_none() && self.cancel.is_none()
     }
 
     /// The exact-enumeration row cap in force.
-    pub fn effective_exact_rows(&self) -> u64 {
+    pub(crate) fn effective_exact_rows(&self) -> u64 {
         self.max_exact_rows.unwrap_or(DEFAULT_EXACT_ROWS)
     }
 

@@ -8,22 +8,22 @@
 //! no wall clock — so a plan replays the identical fault schedule on
 //! every run with the same probe sequence. Sites:
 //!
-//! - **worker shards** ([`FaultPlan::worker_fault`], probed by
+//! - **worker shards** (`FaultPlan::worker_fault`, probed by
 //!   [`crate::parallel::try_run_sharded`] before spawning each shard):
 //!   a transient panic dies on the threaded attempt only and is healed
 //!   by the serial retry (bit-identical results — the whole test suite
 //!   runs green under `DYNMOS_FAULT_PLAN=panic:0.05`), while a
 //!   *persistent* panic also kills the retry and surfaces
-//!   [`crate::ShardError`] /
+//!   [`ShardError`](crate::parallel::ShardError) /
 //!   [`crate::StopReason::WorkerFailed`];
-//! - **service legs** ([`FaultPlan::leg_fault`], probed by the
+//! - **service legs** (`FaultPlan::leg_fault`, probed by the
 //!   [`crate::service`] supervisor before each leg): kill the leg
 //!   (simulated worker death → retry with backoff from the last
 //!   checkpoint), expire its deadline artificially, or delay it;
-//! - **cache inserts** ([`FaultPlan::poison_cache`]): corrupt the
+//! - **cache inserts** (`FaultPlan::poison_cache`): corrupt the
 //!   compiled-network fingerprint so validation-on-hit must catch and
 //!   evict the entry;
-//! - **journal appends** ([`FaultPlan::crash_fault`], probed by
+//! - **journal appends** (`FaultPlan::crash_fault`, probed by
 //!   [`crate::service::Journal`] around each write-ahead record):
 //!   abort the whole process — before the write, mid-write (leaving a
 //!   torn final line the recovery path must tolerate), or after it —
@@ -55,7 +55,8 @@ pub enum WorkerFault {
     /// real worker. Always healed — results stay bit-identical.
     PanicOnce,
     /// Panic on the threaded attempt *and* the serial retry: surfaces
-    /// [`crate::ShardError`] through [`crate::try_run_sharded`].
+    /// [`ShardError`](crate::parallel::ShardError) through
+    /// [`try_run_sharded`](crate::parallel::try_run_sharded).
     PanicPersistent,
 }
 
@@ -217,7 +218,7 @@ impl FaultPlan {
 
     /// Decision for one shard-worker spawn. Persistent beats transient
     /// when both rates fire so the rarer fault is never masked.
-    pub fn worker_fault(&self, shard: usize) -> Option<WorkerFault> {
+    pub(crate) fn worker_fault(&self, shard: usize) -> Option<WorkerFault> {
         let u = self.roll(0x0057_4841_5244_u64, shard as u64)?;
         if u < self.worker_panic_persistent {
             Some(WorkerFault::PanicPersistent)
@@ -231,7 +232,7 @@ impl FaultPlan {
     /// Decision for one supervised service leg (`leg` is the job's
     /// 0-based leg index). Priority: deterministic kill schedule, then
     /// kill > expire > delay from one draw.
-    pub fn leg_fault(&self, job: u64, leg: u32) -> Option<LegFault> {
+    pub(crate) fn leg_fault(&self, job: u64, leg: u32) -> Option<LegFault> {
         if self.kill_legs.contains(&leg) {
             return Some(LegFault::Kill);
         }
@@ -251,7 +252,7 @@ impl FaultPlan {
     }
 
     /// Decision for one cache insert keyed by the netlist hash.
-    pub fn poison_cache(&self, key: u64) -> bool {
+    pub(crate) fn poison_cache(&self, key: u64) -> bool {
         self.roll(0x504F_4953_4F4Eu64, key)
             .is_some_and(|u| u < self.cache_poison)
     }
@@ -261,7 +262,7 @@ impl FaultPlan {
     /// restarted process replays a *different* crash schedule and a
     /// crash-at-every-append plan cannot livelock recovery. A firing
     /// draw is subdivided into thirds to pick the [`CrashPoint`].
-    pub fn crash_fault(&self, site: u64) -> Option<CrashPoint> {
+    pub(crate) fn crash_fault(&self, site: u64) -> Option<CrashPoint> {
         let u = self.roll(0x0043_5241_5348_u64, site)?;
         if u >= self.crash {
             return None;
@@ -286,7 +287,7 @@ impl FaultPlan {
     ///
     /// Returns a message naming the offending pair on unknown keys,
     /// unparsable values, or out-of-range rates.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+    pub(crate) fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(0x000C_4A05);
         for pair in spec.split(',') {
             let pair = pair.trim();
@@ -389,7 +390,7 @@ pub fn scoped<R>(plan: Arc<FaultPlan>, f: impl FnOnce() -> R) -> R {
 
 /// The active fault plan for this thread: the innermost [`scoped`]
 /// plan, else the `DYNMOS_FAULT_PLAN` plan, else `None`.
-pub fn current() -> Option<Arc<FaultPlan>> {
+pub(crate) fn current() -> Option<Arc<FaultPlan>> {
     if let Some(p) = SCOPED.with(|s| s.borrow().last().cloned()) {
         return Some(p);
     }

@@ -55,7 +55,7 @@ impl EstimateMethod {
     }
 
     /// Inverse of [`token`](Self::token).
-    pub fn from_token(s: &str) -> Result<Self, String> {
+    pub(crate) fn from_token(s: &str) -> Result<Self, String> {
         match s {
             "exact" => Ok(EstimateMethod::Exact),
             "monte-carlo" => Ok(EstimateMethod::MonteCarlo),
@@ -191,13 +191,13 @@ impl<'n> ExactDetector<'n> {
     }
 
     /// A detector for bare faults (no list metadata).
-    pub fn for_faults(net: &'n Network, faults: &[NetworkFault]) -> Self {
+    pub(crate) fn for_faults(net: &'n Network, faults: &[NetworkFault]) -> Self {
         Self::for_faults_iter(net, faults.iter())
     }
 
     /// Sets the thread policy for subsequent [`Self::probabilities`]
     /// calls. Results are bit-identical at any thread count.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+    pub(crate) fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.parallelism = parallelism;
     }
 
@@ -248,7 +248,7 @@ impl<'n> ExactDetector<'n> {
     ///
     /// Panics if the arity of `pi_probs` is wrong, or with the
     /// [`ShardError`](crate::ShardError) text if a shard fails twice.
-    pub fn try_probabilities(
+    pub(crate) fn try_probabilities(
         &mut self,
         pi_probs: &[f64],
         run_budget: &RunBudget,
@@ -319,7 +319,7 @@ impl<'n> ExactDetector<'n> {
 
 /// Detection probabilities through the tiered testability engine
 /// ([`crate::DetectionEngine`]): exact enumeration runs when the row
-/// space fits [`RunBudget::effective_exact_rows`]; otherwise the walk is
+/// space fits `RunBudget::effective_exact_rows`; otherwise the walk is
 /// refused up front and the symbolic tiers run instead — the BDD tier,
 /// degrading per fault to certified cutting bounds (tightened by Monte
 /// Carlo over one sample bank shared by the query) when a fault's BDD

@@ -4,7 +4,7 @@
 //! each reader inventing its own failure shape (or worse, panicking
 //! mid-run once the lazily-read knob is finally consulted).
 //!
-//! [`raw`] is the single sanctioned `std::env::var` site in the
+//! `raw` is the single sanctioned `std::env::var` site in the
 //! workspace; dynlint's `env-through-contract` rule flags direct reads
 //! anywhere else (see `dynlint.toml`).
 
@@ -37,13 +37,13 @@ impl std::fmt::Display for EnvError {
 /// Reads one environment variable. Non-UTF-8 values read as unset —
 /// every knob is ASCII, and a knob that cannot be decoded cannot be
 /// validated either.
-pub fn raw(name: &str) -> Option<String> {
+pub(crate) fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
 /// Trims `name`'s value, mapping unset / empty / whitespace-only to
 /// `None` (the uniform "no override" convention of every knob).
-pub fn trimmed(name: &str) -> Option<String> {
+pub(crate) fn trimmed(name: &str) -> Option<String> {
     let value = raw(name)?;
     let trimmed = value.trim();
     if trimmed.is_empty() {

@@ -212,11 +212,6 @@ impl FsimCheckpoint {
         self.batches_done.saturating_mul(64).min(self.max_patterns)
     }
 
-    /// The original run's pattern budget.
-    pub fn max_patterns(&self) -> u64 {
-        self.max_patterns
-    }
-
     /// Faults detected so far.
     pub fn detected_count(&self) -> usize {
         self.detected_at.iter().filter(|d| d.is_some()).count()
@@ -263,11 +258,6 @@ impl<'n> FaultSimulator<'n> {
     /// Creates a simulator with an explicit thread policy.
     pub fn with_parallelism(net: &'n Network, parallelism: Parallelism) -> Self {
         Self { net, parallelism }
-    }
-
-    /// The configured thread policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Runs random patterns from `source` until all faults are detected or

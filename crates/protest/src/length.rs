@@ -113,7 +113,13 @@ pub fn test_length_per_fault(p: f64, confidence: f64) -> u64 {
 /// assert!(n > 1500 && n < 2500);
 /// ```
 pub fn test_length(probs: &[f64], confidence: f64) -> u64 {
-    try_test_length(probs, confidence).unwrap_or_else(|e| panic!("{e}"))
+    test_length_budgeted(
+        probs,
+        confidence,
+        Parallelism::default(),
+        &RunBudget::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The joint detection confidence `Π_i (1 - (1-p_i)^N)` over one block of
@@ -125,20 +131,10 @@ fn block_confidence(probs: &[f64], n: u64) -> f64 {
         .product()
 }
 
-/// [`test_length`] returning degenerate inputs as [`LengthError`]
+/// [`test_length`] with an explicit thread policy and under a
+/// [`RunBudget`], returning degenerate inputs as [`LengthError`]
 /// instead of panicking: NaN or out-of-range probabilities/confidence
 /// are reported, never propagated into pattern budgets.
-pub fn try_test_length(probs: &[f64], confidence: f64) -> Result<u64, LengthError> {
-    test_length_budgeted(
-        probs,
-        confidence,
-        Parallelism::default(),
-        &RunBudget::unlimited(),
-    )
-}
-
-/// [`try_test_length`] with an explicit thread policy and under a
-/// [`RunBudget`].
 ///
 /// The fault axis (in `PROB_BLOCK`-sized blocks) is the only axis here,
 /// so the planner shards it whenever the list can feed every worker a
@@ -243,6 +239,16 @@ pub fn test_length_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The unbudgeted, non-panicking form of [`test_length`].
+    fn try_test_length(probs: &[f64], confidence: f64) -> Result<u64, LengthError> {
+        test_length_budgeted(
+            probs,
+            confidence,
+            Parallelism::default(),
+            &RunBudget::unlimited(),
+        )
+    }
 
     #[test]
     fn escape_probability_shrinks_geometrically() {

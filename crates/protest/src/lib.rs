@@ -57,18 +57,16 @@ pub mod random;
 pub mod service;
 pub mod testability;
 
-pub use budget::{env_budget_ms, RunBudget, RunStatus, StopReason, DEFAULT_EXACT_ROWS};
-pub use chaos::{env_fault_plan, CrashPoint, FaultPlan, LegFault, WorkerFault};
+pub use budget::{env_budget_ms, RunBudget, RunStatus, StopReason};
+pub use chaos::FaultPlan;
 pub use detect::{
     detection_probabilities, detection_probability_estimates, exact_detection_probability,
     DetectionEstimate, EstimateMethod, ExactDetector,
 };
-pub use env_contract::EnvError;
 pub use estimate::{exact_signal_probability, signal_probabilities};
-pub use fsim::{BudgetedFsim, FaultSimulator, FsimCheckpoint, FsimOutcome};
+pub use fsim::{FaultSimulator, FsimCheckpoint, FsimOutcome};
 pub use length::{
-    escape_probability, test_length, test_length_budgeted, test_length_per_fault, try_test_length,
-    LengthError,
+    escape_probability, test_length, test_length_budgeted, test_length_per_fault, LengthError,
 };
 pub use list::{network_fault_list, network_fault_list_from, stuck_fault_list, FaultEntry};
 pub use montecarlo::{
@@ -78,17 +76,14 @@ pub use montecarlo::{
 };
 pub use optimize::{
     optimize_input_probabilities, optimize_input_probabilities_budgeted,
-    optimize_input_probabilities_with, OptimizeReport, OptimizeRun,
+    optimize_input_probabilities_with,
 };
-pub use parallel::{
-    plan_shards, run_sharded, shard_ranges, try_run_sharded, Parallelism, ShardError, ShardPlan,
-};
-pub use random::{PatternSource, StreamSpan};
+pub use parallel::{plan_shards, run_sharded, Parallelism, ShardPlan};
+pub use random::PatternSource;
 pub use service::{
-    BackoffPolicy, CacheStats, EngineConfig, Job, JobContext, JobEngine, JobKernel, JobRecord,
-    JobStatus, Json, NetlistFormat, NetworkCache, Rejection,
+    BackoffPolicy, EngineConfig, JobContext, JobEngine, JobKernel, JobRecord, JobStatus, Json,
+    NetlistFormat, NetworkCache,
 };
 pub use testability::{
-    env_testability, tier_census, DetectionEngine, TestPattern, TestabilityConfig, TierMode,
-    DEFAULT_NODE_BUDGET, DEFAULT_TIGHTEN_SAMPLES, MAX_TIGHTEN_SAMPLES,
+    tier_census, DetectionEngine, TestPattern, TestabilityConfig, TierMode, DEFAULT_NODE_BUDGET,
 };

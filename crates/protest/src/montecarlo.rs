@@ -51,12 +51,6 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// `true` if `truth` lies within the confidence interval (with a
-    /// small absolute floor for degenerate frequencies).
-    pub fn covers(&self, truth: f64) -> bool {
-        (self.value - truth).abs() <= self.half_width.max(1e-3)
-    }
-
     /// The standard error of the estimate (`sqrt(p(1-p)/n)`; the
     /// half-width is 1.96 standard errors).
     pub fn std_error(&self) -> f64 {
@@ -158,11 +152,6 @@ impl McCheckpoint {
         self.passes_done
             .saturating_mul(PASS_SAMPLES)
             .min(self.samples)
-    }
-
-    /// The run's total sample budget.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 

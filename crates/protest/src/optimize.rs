@@ -134,7 +134,7 @@ pub struct OptimizeRun {
 ///
 /// The objective runs on the tiered [`DetectionEngine`]: exact
 /// enumeration when the row space fits
-/// [`RunBudget::effective_exact_rows`], otherwise the shared-BDD tier
+/// `RunBudget::effective_exact_rows`, otherwise the shared-BDD tier
 /// (one linear probability pass per evaluation — the thing that makes
 /// coordinate descent feasible at hundreds of inputs), degrading per
 /// fault to certified cutting bounds. Per-fault tiers are reported in

@@ -1,7 +1,7 @@
 //! Thread-sharded execution of the PROTEST kernels.
 //!
 //! The PR-1 compiled kernel split network evaluation into a shared
-//! immutable [`dynmos_netlist::CompiledNetwork`] and per-caller
+//! immutable [`CompiledNetwork`](dynmos_netlist::compile::CompiledNetwork) and per-caller
 //! [`dynmos_netlist::PackedEvaluator`] buffers, which makes fault-level
 //! parallelism embarrassingly simple: give every worker its own evaluator
 //! over a **disjoint slice of the fault list** and let it replay the same
@@ -90,7 +90,7 @@
 //! own loop: its unit of work is a fault, not a stream chunk.
 //!
 //! **Exact → symbolic degradation rule:** exact enumeration refuses a
-//! row space larger than [`crate::RunBudget::effective_exact_rows`] up
+//! row space larger than `crate::RunBudget::effective_exact_rows` up
 //! front ([`crate::StopReason::RowCap`]) instead of hanging;
 //! [`crate::detection_probability_estimates`] then falls back to the
 //! symbolic tiers of [`crate::DetectionEngine`] — the BDD tier, then

@@ -91,13 +91,8 @@ impl PatternSource {
     }
 
     /// Number of inputs per pattern.
-    pub fn input_count(&self) -> usize {
+    pub(crate) fn input_count(&self) -> usize {
         self.probs.len()
-    }
-
-    /// The configured probabilities.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probs
     }
 
     /// The lowered fixed-point weights, in input order.
@@ -112,7 +107,7 @@ impl PatternSource {
     }
 
     /// Moves the stream cursor (64 patterns per batch index).
-    pub fn set_position(&mut self, batch_index: u64) {
+    pub(crate) fn set_position(&mut self, batch_index: u64) {
         self.position = batch_index;
     }
 
@@ -151,30 +146,13 @@ impl PatternSource {
         b
     }
 
-    /// Generates the next `width × 64` patterns in the wide evaluator
-    /// layout ([`dynmos_netlist::PackedEvaluator::with_width`]): `width`
-    /// consecutive words per input, inputs in declaration order. Lane
-    /// word `w` of the result is stream batch `position + w`, so wide
-    /// and narrow consumers of one seed see the same patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn next_batch_wide(&mut self, width: usize) -> Vec<u64> {
-        assert!(width > 0, "need at least one lane word");
-        let mut out = vec![0u64; self.probs.len() * width];
-        self.fill_batch_wide_at(self.position, width, &mut out);
-        self.position += width as u64;
-        out
-    }
-
     /// Writes batches `first_index .. first_index + width` in the wide
     /// layout, independent of the cursor.
     ///
     /// # Panics
     ///
     /// Panics if `width == 0` or `out.len() != input_count() * width`.
-    pub fn fill_batch_wide_at(&self, first_index: u64, width: usize, out: &mut [u64]) {
+    pub(crate) fn fill_batch_wide_at(&self, first_index: u64, width: usize, out: &mut [u64]) {
         assert!(width > 0, "need at least one lane word");
         assert_eq!(
             out.len(),
@@ -205,7 +183,7 @@ impl PatternSource {
     /// are independent of the cursor and of each other, so any number of
     /// workers can walk disjoint spans concurrently and reproduce exactly
     /// the patterns the serial cursor would have produced.
-    pub fn span(&self, batches: Range<u64>) -> StreamSpan<'_> {
+    pub(crate) fn span(&self, batches: Range<u64>) -> StreamSpan<'_> {
         StreamSpan {
             source: self,
             batches,
@@ -224,13 +202,8 @@ pub struct StreamSpan<'s> {
 
 impl StreamSpan<'_> {
     /// Number of 64-pattern batches in the span.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.batches.end.saturating_sub(self.batches.start)
-    }
-
-    /// `true` if the span covers no batches.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
     }
 
     /// Fills `out` with the `k`-th batch of the span (absolute stream
@@ -239,7 +212,7 @@ impl StreamSpan<'_> {
     /// # Panics
     ///
     /// Panics if `k` is outside the span or `out` has the wrong arity.
-    pub fn fill_batch(&self, k: u64, out: &mut [u64]) {
+    pub(crate) fn fill_batch(&self, k: u64, out: &mut [u64]) {
         assert!(k < self.len(), "batch {k} outside span of {}", self.len());
         self.source.fill_batch_at(self.batches.start + k, out);
     }
@@ -278,20 +251,6 @@ mod tests {
         seq.set_position(3);
         assert_eq!(seq.next_batch(), by_cursor[3]);
         assert_eq!(seq.position(), 4);
-    }
-
-    #[test]
-    fn wide_batches_interleave_narrow_batches() {
-        let mut narrow = PatternSource::new(5, vec![0.25, 0.5, 0.9]);
-        let mut wide = PatternSource::new(5, vec![0.25, 0.5, 0.9]);
-        let n: Vec<Vec<u64>> = (0..4).map(|_| narrow.next_batch()).collect();
-        let w = wide.next_batch_wide(4);
-        for i in 0..3 {
-            for k in 0..4 {
-                assert_eq!(w[i * 4 + k], n[k][i], "input {i} word {k}");
-            }
-        }
-        assert_eq!(narrow.position(), wide.position());
     }
 
     #[test]
@@ -387,7 +346,7 @@ mod tests {
                 assert_eq!(out, by_cursor[offset + k as usize], "batch {k}");
             }
         }
-        assert!(src.span(4..4).is_empty());
+        assert_eq!(src.span(4..4).len(), 0);
     }
 
     #[test]

@@ -151,13 +151,8 @@ impl NetworkCache {
     }
 
     /// Entries currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Returns the compiled network for `source`, from cache when

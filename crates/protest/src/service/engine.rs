@@ -18,7 +18,7 @@ use crate::chaos::{self, mix64, FaultPlan, LegFault};
 use crate::list::{network_fault_list, stuck_fault_list};
 use crate::parallel::{panic_message, Parallelism};
 use crate::service::cache::{NetlistFormat, NetworkCache};
-use crate::service::jobs::{build_builtin, optional_u64, JobContext, JobKernel};
+use crate::service::jobs::{build_builtin, optional_str, optional_u64, JobContext, JobKernel};
 use crate::service::journal::Journal;
 use crate::service::json::{write_object, Json};
 use std::collections::VecDeque;
@@ -496,7 +496,7 @@ impl JobEngine {
             .and_then(Json::as_str)
             .ok_or("missing \"netlist\"")?
             .to_owned();
-        let format = match request.get("format").and_then(Json::as_str) {
+        let format = match optional_str(request, "format")? {
             None => NetlistFormat::Bench,
             Some(s) => NetlistFormat::parse(s)?,
         };

@@ -236,6 +236,7 @@ impl<K: Resumable> JobKernel for Checkpointed<K> {
 /// Reads an unsigned-integer parameter with a default, treating a
 /// mistyped value as absent. Kernels refuse mistyped values instead,
 /// through [`optional_u64`].
+/// Only perfbench calls this, to rebuild a request's expected result.
 pub fn param_u64(params: &Json, key: &str, default: u64) -> u64 {
     params.get(key).and_then(Json::as_u64).unwrap_or(default)
 }
@@ -257,13 +258,29 @@ pub fn optional_u64(params: &Json, key: &str) -> Result<Option<u64>, String> {
         .transpose()
 }
 
+/// [`optional_u64`] for a parameter that must be a string.
+///
+/// # Errors
+///
+/// Returns a message naming `key` when the value is present but not a
+/// string.
+pub(crate) fn optional_str<'a>(params: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    params
+        .get(key)
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| format!("{key:?} must be a string, got {v}"))
+        })
+        .transpose()
+}
+
 /// [`optional_u64`] for a parameter that must be a number.
 ///
 /// # Errors
 ///
 /// Returns a message naming `key` when the value is present but not a
 /// number.
-pub fn optional_f64(params: &Json, key: &str) -> Result<Option<f64>, String> {
+pub(crate) fn optional_f64(params: &Json, key: &str) -> Result<Option<f64>, String> {
     params
         .get(key)
         .map(|v| {
@@ -819,10 +836,21 @@ impl OptimizeJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for a mistyped `confidence` or `max_sweeps`.
+    /// Returns a message for a mistyped `confidence` or `max_sweeps`, a
+    /// `confidence` outside `(0, 1)`, or an empty fault list: the
+    /// optimizer's test-length objective is undefined for both.
     fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+        let confidence = optional_f64(ctx.params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE);
+        if !(confidence > 0.0 && confidence < 1.0) {
+            return Err(format!(
+                "\"confidence\" must be in (0, 1), got {confidence}"
+            ));
+        }
+        if ctx.faults.is_empty() {
+            return Err("the fault list is empty: nothing to optimize".into());
+        }
         Ok(Self {
-            confidence: optional_f64(ctx.params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE),
+            confidence,
             max_sweeps: optional_u64(ctx.params, "max_sweeps")?.unwrap_or(2) as usize,
             net: ctx.net,
             faults: ctx.faults,
@@ -994,8 +1022,8 @@ impl TestabilityJob {
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`, an unknown `mode`, a
-    /// mistyped `seed`, `node_budget` or `tighten_samples`, or a
+    /// Returns a message for invalid `probs`, an unknown or mistyped
+    /// `mode`, a mistyped `seed`, `node_budget` or `tighten_samples`, or a
     /// `tighten_samples` above [`MAX_TIGHTEN_SAMPLES`]: the sample bank is
     /// drawn outside the leg budget, so a larger count would let a leg
     /// ignore its deadline.
@@ -1003,7 +1031,7 @@ impl TestabilityJob {
         let n = ctx.net.primary_inputs().len();
         let mut config = TestabilityConfig::from_env()
             .with_seed(optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED));
-        if let Some(token) = ctx.params.get("mode").and_then(Json::as_str) {
+        if let Some(token) = optional_str(ctx.params, "mode")? {
             config = config.with_mode(TierMode::parse(token)?);
         }
         if let Some(nodes) = optional_u64(ctx.params, "node_budget")? {

@@ -43,7 +43,7 @@
 //! # Crash injection and the generation counter
 //!
 //! Appends probe the engine's [`FaultPlan`] for an injected process
-//! crash ([`FaultPlan::crash_fault`]) — before the write, mid-write
+//! crash (`FaultPlan::crash_fault`) — before the write, mid-write
 //! (writing a strict prefix, the torn-line generator), or after it.
 //! The probe site mixes in the journal's **generation** (how many times
 //! this journal has been opened), so a restarted process rolls a fresh
@@ -61,7 +61,7 @@ use crate::chaos::{CrashPoint, FaultPlan};
 use crate::service::json::{write_object, Json};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The journal file name inside the `--journal` directory.
@@ -69,7 +69,6 @@ pub const JOURNAL_FILE: &str = "journal.jsonl";
 
 /// A crash-durable append-only record stream in `DIR/journal.jsonl`.
 pub struct Journal {
-    dir: PathBuf,
     file: File,
     generation: u64,
     appends: u64,
@@ -167,7 +166,6 @@ impl Journal {
 
         let file = OpenOptions::new().append(true).open(&path)?;
         let journal = Journal {
-            dir: dir.to_owned(),
             file,
             generation: recovery.generation,
             appends: 0,
@@ -203,16 +201,6 @@ impl Journal {
         Ok(recovery)
     }
 
-    /// This session's recovery generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(JOURNAL_FILE)
-    }
-
     /// Appends (and syncs) a job-admission record.
     ///
     /// # Errors
@@ -243,8 +231,9 @@ impl Journal {
     }
 
     /// Appends (and syncs) a terminal record given as a tree; encodes it
-    /// and appends it as [`record_done_line`](Self::record_done_line)
-    /// does.
+    /// and appends it as `record_done_line` does.
+    /// Only perfbench's replay calls this; the engine appends records it
+    /// has already encoded.
     ///
     /// # Errors
     ///
@@ -262,7 +251,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates write/sync failures.
-    pub fn record_done_line(&mut self, id: u64, record: &str) -> io::Result<()> {
+    pub(crate) fn record_done_line(&mut self, id: u64, record: &str) -> io::Result<()> {
         let mut line = String::with_capacity(record.len() + 40);
         push_done(&mut line, id, record);
         self.append(line.as_bytes())
@@ -503,7 +492,6 @@ mod tests {
         .unwrap();
         let (journal, recovery) = Journal::open(&dir, None).unwrap();
         assert_eq!(recovery.generation, 2);
-        assert_eq!(journal.generation(), 2);
         assert!(recovery.torn_tail);
         assert_eq!(recovery.max_id, 2);
         assert_eq!(recovery.jobs.len(), 1);

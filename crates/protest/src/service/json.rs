@@ -149,7 +149,10 @@ impl Json {
 /// Appends an object built from borrowed members, so a caller can put
 /// a large value (a job result, a request) inside a new object without
 /// cloning it into a [`Json::Obj`] first.
-pub fn write_object<'a>(out: &mut String, members: impl IntoIterator<Item = (&'a str, &'a Json)>) {
+pub(crate) fn write_object<'a>(
+    out: &mut String,
+    members: impl IntoIterator<Item = (&'a str, &'a Json)>,
+) {
     out.push('{');
     for (i, (key, value)) in members.into_iter().enumerate() {
         if i > 0 {

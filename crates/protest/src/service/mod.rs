@@ -21,7 +21,7 @@
 //!   run (the determinism contract in [`crate::parallel`]);
 //! - **bounded admission with load shedding**: the queue refuses
 //!   submissions past [`EngineConfig::queue_capacity`] with a
-//!   structured [`Rejection`];
+//!   structured [`Rejection`](crate::service::engine::Rejection);
 //! - **compiled-network cache** ([`NetworkCache`]) keyed by netlist
 //!   hash, with recompile-and-compare validation on a sampled fraction
 //!   of hits and eviction on mismatch;
@@ -50,8 +50,8 @@ pub mod jobs;
 pub mod journal;
 pub mod json;
 
-pub use cache::{network_fingerprint, CacheStats, NetlistFormat, NetworkCache};
-pub use engine::{BackoffPolicy, EngineConfig, Job, JobEngine, JobRecord, JobStatus, Rejection};
+pub use cache::{NetlistFormat, NetworkCache};
+pub use engine::{BackoffPolicy, EngineConfig, JobEngine, JobRecord, JobStatus};
 pub use jobs::{build_builtin, Checkpointed, JobContext, JobKernel, Leg, Resumable};
-pub use journal::{Journal, RecoveredJob, Recovery, JOURNAL_FILE};
-pub use json::{Json, JsonError};
+pub use journal::{Journal, JOURNAL_FILE};
+pub use json::Json;

@@ -7,7 +7,7 @@
 //! and arranges three tiers behind one interface:
 //!
 //! 1. **Exact enumeration** ([`ExactDetector`]) when the row space fits
-//!    [`RunBudget::effective_exact_rows`] — bit-identical to the historic
+//!    `RunBudget::effective_exact_rows` — bit-identical to the historic
 //!    path, still the small-circuit oracle.
 //! 2. **BDD**: the good machine is built once over a fanin-driven
 //!    variable order (DFS from the primary outputs through the drivers,
@@ -115,7 +115,7 @@ impl TierMode {
 /// Panics on garbage — a mistyped tier must fail loudly, not silently
 /// run a different engine (same contract as `DYNMOS_BUDGET_MS` and
 /// `DYNMOS_THREADS`).
-pub fn parse_testability_override(raw: Option<&str>) -> Option<TierMode> {
+pub(crate) fn parse_testability_override(raw: Option<&str>) -> Option<TierMode> {
     let raw = raw?.trim();
     if raw.is_empty() {
         return None;

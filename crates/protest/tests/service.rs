@@ -334,7 +334,8 @@ fn mistyped_kernel_parameters_are_rejected() {
     let bench = Json::str(ripple_adder_bench_text(2));
     let integer_bad = [r#""64""#, "64.5", "-1", "null", "true", "[64]"];
     let number_bad = [r#""0.5""#, "null", "true", "[0.5]"];
-    let params: [(&str, &str, &[&str], &str); 15] = [
+    let string_bad = ["5", "null", "true", r#"["bdd"]"#];
+    let params: [(&str, &str, &[&str], &str); 16] = [
         ("fsim", "patterns", &integer_bad, "64"),
         ("fsim", "seed", &integer_bad, "7"),
         ("mc-detect", "samples", &integer_bad, "256"),
@@ -350,6 +351,7 @@ fn mistyped_kernel_parameters_are_rejected() {
         ("testability", "seed", &integer_bad, "7"),
         ("testability", "node_budget", &integer_bad, "2000"),
         ("testability", "tighten_samples", &integer_bad, "64"),
+        ("testability", "mode", &string_bad, r#""bdd""#),
     ];
     for (kind, key, bad_values, good) in params {
         let request = |v: &str| format!(r#"{{"kind":"{kind}","netlist":{bench},"{key}":{v}}}"#);
@@ -392,6 +394,50 @@ fn mistyped_or_oversized_max_exact_rows_is_rejected() {
         ],
         &["0", "4096", "16777216"],
     );
+}
+
+/// A present `format` must be a string: a mistyped one must not fall
+/// back to `.bench` parsing.
+#[test]
+fn mistyped_format_is_rejected() {
+    assert_only_valid_values_queue(
+        "fsim",
+        "format",
+        &["7", "null", "true", r#"["bench"]"#],
+        &[r#""bench""#],
+    );
+}
+
+/// An `optimize` confidence outside (0, 1) is refused at admission: the
+/// optimizer's test-length objective is undefined there.
+#[test]
+fn out_of_range_optimize_confidence_is_rejected() {
+    assert_only_valid_values_queue(
+        "optimize",
+        "confidence",
+        &["0", "1", "1.5", "-0.5"],
+        &["0.5", "0.999"],
+    );
+}
+
+/// An `optimize` request whose fault list is empty is refused at
+/// admission instead of failing every leg.
+#[test]
+fn optimize_with_an_empty_fault_list_is_rejected() {
+    let mut engine = JobEngine::new(test_config());
+    let bench = Json::str(ripple_adder_bench_text(2));
+    let request =
+        |limit: u64| format!(r#"{{"kind":"optimize","netlist":{bench},"fault_limit":{limit}}}"#);
+    let verdict = engine.submit_json(&Json::parse(&request(0)).unwrap());
+    assert_eq!(
+        verdict.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "empty fault list admitted: {verdict}"
+    );
+    let error = verdict.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("fault list is empty"), "error {error:?}");
+    submit_ok(&mut engine, &request(1));
+    assert_eq!(engine.pending(), 1, "only the non-empty request queues");
 }
 
 /// `tighten_samples` is capped at 2^16: the cutting tier's sample bank

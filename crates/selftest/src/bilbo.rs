@@ -65,16 +65,6 @@ impl Bilbo {
         }
     }
 
-    /// Register width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> BilboMode {
-        self.mode
-    }
-
     /// Switches mode. Entering [`BilboMode::Signature`] resets the MISR.
     pub fn set_mode(&mut self, mode: BilboMode) {
         if mode == BilboMode::Signature && self.mode != BilboMode::Signature {

@@ -112,11 +112,6 @@ impl GaloisLfsr {
         mask
     }
 
-    /// Register width in bits.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
     /// Current register contents.
     pub fn state(&self) -> u64 {
         self.state

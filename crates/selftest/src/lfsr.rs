@@ -92,11 +92,6 @@ impl Lfsr {
         }
     }
 
-    /// Register width in bits.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
     /// Current register contents (low `degree` bits).
     pub fn state(&self) -> u64 {
         self.state
@@ -108,21 +103,6 @@ impl Lfsr {
         let feedback = ((self.state & self.tap_mask).count_ones() & 1) as u64;
         self.state = ((self.state << 1) | feedback) & ((1u64 << self.degree) - 1);
         out
-    }
-
-    /// Advances `n` clocks, returning the produced bits MSB-first packed
-    /// into a word (`n <= 64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 64`.
-    pub fn next_bits(&mut self, n: u32) -> u64 {
-        assert!(n <= 64, "at most 64 bits per call");
-        let mut w = 0u64;
-        for _ in 0..n {
-            w = (w << 1) | u64::from(self.step());
-        }
-        w
     }
 
     /// The full period of a maximal-length register of this degree.
@@ -169,18 +149,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.step(), b.step());
         }
-    }
-
-    #[test]
-    fn next_bits_packs_msb_first() {
-        let mut a = Lfsr::new(8, 0x5A);
-        let mut b = Lfsr::new(8, 0x5A);
-        let word = a.next_bits(8);
-        let mut manual = 0u64;
-        for _ in 0..8 {
-            manual = (manual << 1) | u64::from(b.step());
-        }
-        assert_eq!(word, manual);
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub use bilbo::{Bilbo, BilboMode};
 pub use galois::GaloisLfsr;
 pub use lfsr::Lfsr;
 pub use misr::Misr;
-pub use session::{SelfTestSession, SessionOutcome};
+pub use session::SelfTestSession;
 pub use weighted::{WeightSpec, WeightedGenerator};

@@ -40,11 +40,6 @@ impl Misr {
         }
     }
 
-    /// Register width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// Absorbs one parallel response word (low `width` bits used).
     pub fn absorb(&mut self, response: u64) {
         let mask = (1u64 << self.width) - 1;
@@ -58,7 +53,7 @@ impl Misr {
     }
 
     /// Resets to the all-zero state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = 0;
     }
 }

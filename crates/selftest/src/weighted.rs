@@ -8,7 +8,6 @@
 //! [`WeightedGenerator`] drives one such tree per circuit input.
 
 use crate::lfsr::Lfsr;
-use dynmos_logic::PackedWeight;
 
 /// A realizable input weight: `k` LFSR bits combined by AND (probability
 /// `2^-k`) or OR (probability `1 - 2^-k`); `k = 1` gives the plain 0.5.
@@ -28,20 +27,6 @@ impl WeightSpec {
             1.0 - p
         } else {
             p
-        }
-    }
-
-    /// The weight as a fixed-point [`PackedWeight`] for bit-sliced
-    /// generation — the same primitive `dynmos-protest`'s software
-    /// pattern source lowers to. An AND tree of `k` bits is the threshold
-    /// `2^-k`, an OR tree `1 - 2^-k`; both are dyadic, so the packed form
-    /// realizes the hardware probability *exactly* with `k` words.
-    pub fn packed(self) -> PackedWeight {
-        let shift = 64 - self.k;
-        if self.or {
-            PackedWeight::Threshold(!0u64 << shift)
-        } else {
-            PackedWeight::Threshold(1u64 << shift)
         }
     }
 
@@ -112,16 +97,6 @@ impl WeightedGenerator {
         }
     }
 
-    /// Number of inputs per pattern.
-    pub fn input_count(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// The configured weights.
-    pub fn specs(&self) -> &[WeightSpec] {
-        &self.specs
-    }
-
     /// Produces the next pattern: for each input, `k` fresh LFSR bits are
     /// combined by its AND/OR tree.
     pub fn next_pattern(&mut self) -> Vec<bool> {
@@ -152,22 +127,6 @@ impl WeightedGenerator {
             }
         }
         batch
-    }
-
-    /// Produces a 64-pattern packed batch *bit-sliced*: input `i`'s word
-    /// is built from `k_i` register-packed LFSR words through the shared
-    /// [`PackedWeight`] cascade instead of 64 scalar tree evaluations.
-    ///
-    /// Consumes the same number of LFSR steps as [`Self::next_batch`]
-    /// (64 per tree stage) but in a different order, so the two methods
-    /// produce different (identically distributed, exactly weighted)
-    /// pattern sequences from one seed.
-    pub fn next_batch_sliced(&mut self) -> Vec<u64> {
-        let lfsr = &mut self.lfsr;
-        self.specs
-            .iter()
-            .map(|s| s.packed().weighted_word(|| lfsr.next_bits(64)))
-            .collect()
     }
 }
 
@@ -226,42 +185,6 @@ mod tests {
             for (i, &bit) in pat.iter().enumerate() {
                 assert_eq!((batch[i] >> lane) & 1 == 1, bit, "lane {lane} input {i}");
             }
-        }
-    }
-
-    #[test]
-    fn packed_weights_are_exact() {
-        for k in 1..=6u32 {
-            for or in [false, true] {
-                let spec = WeightSpec { k, or };
-                let packed = spec.packed();
-                assert_eq!(packed.probability(), spec.probability(), "k={k} or={or}");
-                assert_eq!(packed.depth(), k, "one uniform word per tree stage");
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_batch_frequencies_track_weights() {
-        let specs = vec![
-            WeightSpec { k: 3, or: false }, // 0.125
-            WeightSpec { k: 1, or: false }, // 0.5
-            WeightSpec { k: 3, or: true },  // 0.875
-        ];
-        let mut gen = WeightedGenerator::new(24, 0xBEEF, specs.clone());
-        let batches = 1024; // 65,536 lanes (>= 2^16)
-        let mut ones = vec![0u64; specs.len()];
-        for _ in 0..batches {
-            for (i, w) in gen.next_batch_sliced().iter().enumerate() {
-                ones[i] += w.count_ones() as u64;
-            }
-        }
-        let total = (batches * 64) as f64;
-        for (i, s) in specs.iter().enumerate() {
-            let p = s.probability();
-            let freq = ones[i] as f64 / total;
-            let tol = 4.0 * (p * (1.0 - p) / total).sqrt();
-            assert!((freq - p).abs() < tol, "input {i}: {freq} vs {p}");
         }
     }
 

@@ -10,7 +10,7 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// Index into node-indexed arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -28,7 +28,7 @@ pub struct TransistorId(pub u32);
 impl TransistorId {
     /// Index into transistor-indexed arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -67,7 +67,7 @@ pub enum FetKind {
 impl FetKind {
     /// Default on-resistance in ohms used by the timing model. p-channel
     /// devices are modelled ~2x more resistive (hole mobility).
-    pub fn default_resistance(self) -> f64 {
+    pub(crate) fn default_resistance(self) -> f64 {
         match self {
             FetKind::N => 10_000.0,
             FetKind::P => 20_000.0,
@@ -119,7 +119,6 @@ pub struct Circuit {
     vdd: NodeId,
     vss: NodeId,
     inputs: Vec<NodeId>,
-    by_name: HashMap<String, NodeId>,
 }
 
 impl Circuit {
@@ -133,22 +132,22 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn transistor(&self, t: TransistorId) -> &Transistor {
+    pub(crate) fn transistor(&self, t: TransistorId) -> &Transistor {
         &self.transistors[t.index()]
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.node_names.len()
     }
 
     /// The positive supply rail.
-    pub fn vdd(&self) -> NodeId {
+    pub(crate) fn vdd(&self) -> NodeId {
         self.vdd
     }
 
     /// The ground rail.
-    pub fn vss(&self) -> NodeId {
+    pub(crate) fn vss(&self) -> NodeId {
         self.vss
     }
 
@@ -162,7 +161,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `n` is out of range.
-    pub fn node_name(&self, n: NodeId) -> &str {
+    pub(crate) fn node_name(&self, n: NodeId) -> &str {
         &self.node_names[n.index()]
     }
 
@@ -171,13 +170,8 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `n` is out of range.
-    pub fn cap_class(&self, n: NodeId) -> CapClass {
+    pub(crate) fn cap_class(&self, n: NodeId) -> CapClass {
         self.cap_classes[n.index()]
-    }
-
-    /// Looks a node up by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
     }
 
     /// Iterates all node ids.
@@ -186,17 +180,17 @@ impl Circuit {
     }
 
     /// Iterates all transistor ids.
-    pub fn transistor_ids(&self) -> impl Iterator<Item = TransistorId> {
+    pub(crate) fn transistor_ids(&self) -> impl Iterator<Item = TransistorId> {
         (0..self.transistors.len() as u32).map(TransistorId)
     }
 
     /// `true` if `n` is a supply rail.
-    pub fn is_supply(&self, n: NodeId) -> bool {
+    pub(crate) fn is_supply(&self, n: NodeId) -> bool {
         n == self.vdd || n == self.vss
     }
 
     /// `true` if `n` is a declared input.
-    pub fn is_input(&self, n: NodeId) -> bool {
+    pub(crate) fn is_input(&self, n: NodeId) -> bool {
         self.inputs.contains(&n)
     }
 }
@@ -250,7 +244,7 @@ impl CircuitBuilder {
     /// Adds (or retrieves) a named node with an explicit capacitance class.
     ///
     /// Re-using a name returns the existing node without changing its class.
-    pub fn node_with_cap(&mut self, name: &str, cap: CapClass) -> NodeId {
+    pub(crate) fn node_with_cap(&mut self, name: &str, cap: CapClass) -> NodeId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
@@ -294,7 +288,7 @@ impl CircuitBuilder {
     /// # Panics
     ///
     /// Panics if `resistance` is not finite and positive.
-    pub fn fet_with_resistance(
+    pub(crate) fn fet_with_resistance(
         &mut self,
         kind: FetKind,
         gate: NodeId,
@@ -328,7 +322,6 @@ impl CircuitBuilder {
             vdd: NodeId(0),
             vss: NodeId(1),
             inputs: self.inputs,
-            by_name: self.by_name,
         }
     }
 }
@@ -360,9 +353,6 @@ mod tests {
         let mut b = CircuitBuilder::new();
         let x = b.node("x");
         assert_eq!(b.node("x"), x);
-        let c = b.finish();
-        assert_eq!(c.node_by_name("x"), Some(x));
-        assert_eq!(c.node_by_name("y"), None);
     }
 
     #[test]

@@ -126,18 +126,6 @@ impl FaultSet {
         self
     }
 
-    /// Shorthand for injecting [`SwitchFault::StuckClosed`].
-    pub fn stuck_closed(&mut self, t: TransistorId) -> &mut Self {
-        self.closed.insert(t);
-        self
-    }
-
-    /// Shorthand for injecting [`SwitchFault::GateOpen`].
-    pub fn gate_open(&mut self, t: TransistorId) -> &mut Self {
-        self.gate_open.insert(t);
-        self
-    }
-
     /// Disables assumption A1: open gate lines read `X` instead of low.
     pub fn disable_a1(&mut self) -> &mut Self {
         self.a1_disabled = true;
@@ -160,12 +148,12 @@ impl FaultSet {
     }
 
     /// `true` if transistor `t`'s gate line is open.
-    pub fn is_gate_open(&self, t: TransistorId) -> bool {
+    pub(crate) fn is_gate_open(&self, t: TransistorId) -> bool {
         self.gate_open.contains(&t)
     }
 
     /// Resistance multiplier for `t` (1.0 when unfaulted).
-    pub fn resistance_scale(&self, t: TransistorId) -> f64 {
+    pub(crate) fn resistance_scale(&self, t: TransistorId) -> f64 {
         self.resistance_scale.get(&t).copied().unwrap_or(1.0)
     }
 
@@ -200,14 +188,6 @@ mod tests {
         let r = FaultSet::single(SwitchFault::Resistive(t, ResistanceScale(8.0)));
         assert_eq!(r.resistance_scale(t), 8.0);
         assert!(!r.is_fault_free());
-    }
-
-    #[test]
-    fn builder_style_injection() {
-        let mut f = FaultSet::new();
-        f.stuck_open(TransistorId(1)).stuck_closed(TransistorId(2));
-        assert!(f.is_open(TransistorId(1)));
-        assert!(f.is_closed(TransistorId(2)));
     }
 
     #[test]

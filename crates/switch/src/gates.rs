@@ -18,7 +18,7 @@ use crate::circuit::{Circuit, CircuitBuilder, FetKind, NodeId, TransistorId};
 use crate::level::Logic;
 use crate::sim::Sim;
 use crate::sn::{build_sn, dual, SnError, SnHandle};
-use dynmos_logic::{Bexpr, VarTable};
+use dynmos_logic::Bexpr;
 
 /// A static CMOS inverter (the subject of the paper's Fig. 2).
 #[derive(Debug, Clone)]
@@ -362,27 +362,11 @@ impl DynamicNmosGate {
     }
 }
 
-/// Exhaustively evaluates a gate-under-test closure over all `nvars`-bit
-/// input words, returning the output levels in row order.
-///
-/// Handy for comparing a faulty gate against a predicted faulty function.
-pub fn exhaustive_response(nvars: usize, eval: impl FnMut(u64) -> Logic) -> Vec<Logic> {
-    (0..(1u64 << nvars)).map(eval).collect()
-}
-
-/// Parses a transmission function and interns `nvars` canonical input names
-/// `i0..` — a convenience used by tests and benches.
-pub fn parse_transmission(src: &str) -> (Bexpr, VarTable) {
-    let mut vars = VarTable::new();
-    let e = dynmos_logic::parse_expr(src, &mut vars).expect("valid transmission function");
-    (e, vars)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultSet, SwitchFault};
-    use dynmos_logic::parse_expr;
+    use dynmos_logic::{parse_expr, VarTable};
 
     #[test]
     fn static_nor_truth_table() {
@@ -518,20 +502,5 @@ mod tests {
         sim.set_input(gate.clock, Logic::Zero);
         sim.settle();
         assert_eq!(sim.level(gate.z), Logic::Zero); // /T(1) = 0
-    }
-
-    #[test]
-    fn exhaustive_response_helper() {
-        let mut vars = VarTable::new();
-        let t = parse_expr("a*b", &mut vars).unwrap();
-        let gate = domino_gate(&t, 2).unwrap();
-        let resp = exhaustive_response(2, |w| {
-            let mut sim = Sim::new(&gate.circuit);
-            gate.evaluate(&mut sim, w)
-        });
-        assert_eq!(
-            resp,
-            vec![Logic::Zero, Logic::Zero, Logic::Zero, Logic::One]
-        );
     }
 }

@@ -63,11 +63,6 @@ impl Logic {
             Logic::X => Logic::X,
         }
     }
-
-    /// `true` if the level is definitely known.
-    pub fn is_known(self) -> bool {
-        self != Logic::X
-    }
 }
 
 impl fmt::Display for Logic {
@@ -138,20 +133,6 @@ impl Signal {
             level,
         }
     }
-
-    /// Resolves two signals on one electrical net: the stronger wins;
-    /// equal strengths merge levels (conflict ⇒ `X`).
-    pub fn resolve(self, other: Signal) -> Signal {
-        use std::cmp::Ordering;
-        match self.strength.cmp(&other.strength) {
-            Ordering::Greater => self,
-            Ordering::Less => other,
-            Ordering::Equal => Signal {
-                strength: self.strength,
-                level: self.level.merge(other.level),
-            },
-        }
-    }
 }
 
 impl fmt::Display for Signal {
@@ -197,44 +178,6 @@ mod tests {
         assert_eq!(Logic::from_bool(false).to_bool(), Some(false));
         assert_eq!(Logic::X.to_bool(), None);
         assert_eq!(Logic::from(true), Logic::One);
-    }
-
-    #[test]
-    fn driven_beats_charged() {
-        let d0 = Signal::driven(Logic::Zero);
-        let c1 = Signal::charged(Logic::One);
-        assert_eq!(d0.resolve(c1), d0);
-        assert_eq!(c1.resolve(d0), d0);
-    }
-
-    #[test]
-    fn equal_strength_conflict_becomes_x() {
-        let d0 = Signal::driven(Logic::Zero);
-        let d1 = Signal::driven(Logic::One);
-        let r = d0.resolve(d1);
-        assert_eq!(r.level, Logic::X);
-        assert_eq!(r.strength, Strength::Driven);
-
-        let c0 = Signal::charged(Logic::Zero);
-        let c1 = Signal::charged(Logic::One);
-        assert_eq!(c0.resolve(c1).level, Logic::X);
-    }
-
-    #[test]
-    fn resolve_is_commutative() {
-        let sigs = [
-            Signal::driven(Logic::Zero),
-            Signal::driven(Logic::One),
-            Signal::driven(Logic::X),
-            Signal::charged(Logic::Zero),
-            Signal::charged(Logic::One),
-            Signal::charged(Logic::X),
-        ];
-        for &a in &sigs {
-            for &b in &sigs {
-                assert_eq!(a.resolve(b), b.resolve(a));
-            }
-        }
     }
 
     #[test]

@@ -50,12 +50,9 @@ pub mod sim;
 pub mod sn;
 pub mod timing;
 
-pub use circuit::{Circuit, CircuitBuilder, FetKind, NodeId, Transistor, TransistorId};
+pub use circuit::{Circuit, CircuitBuilder, FetKind, NodeId, TransistorId};
 pub use fault::{FaultSet, SwitchFault};
 pub use level::{Logic, Signal, Strength};
-pub use scvs::{scvs_gate, ScvsGate};
-pub use sim::{SettleReport, Sim};
-pub use sn::{build_sn, SnError, SnHandle};
-pub use timing::{
-    contention, domino_precharge_contention, path_resistance, ContentionOutcome, RcParams,
-};
+pub use sim::Sim;
+pub use sn::build_sn;
+pub use timing::{contention, ContentionOutcome, RcParams};

@@ -95,16 +95,6 @@ impl<'c> Sim<'c> {
         }
     }
 
-    /// The circuit being simulated.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// The injected fault set.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
     /// Applies an external level to a declared input node.
     ///
     /// # Panics
@@ -117,12 +107,6 @@ impl<'c> Sim<'c> {
             self.circuit.node_name(node)
         );
         self.inputs.insert(node, level);
-    }
-
-    /// Releases an input: the node keeps its charge and floats. Models the
-    /// paper's "inputs of the gate are blocked when the output is valid".
-    pub fn release_input(&mut self, node: NodeId) {
-        self.inputs.remove(&node);
     }
 
     /// The current logic level of `node`.
@@ -377,14 +361,6 @@ impl<'c> Sim<'c> {
             })
             .collect()
     }
-
-    /// Convenience: applies `assignments` then settles.
-    pub fn apply(&mut self, assignments: &[(NodeId, Logic)]) -> SettleReport {
-        for &(n, l) in assignments {
-            self.set_input(n, l);
-        }
-        self.settle()
-    }
 }
 
 /// Minimal union-find with path halving.
@@ -515,21 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn release_input_keeps_charge() {
-        let (c, a, z, _, _) = inverter();
-        let mut sim = Sim::new(&c);
-        sim.set_input(a, Logic::One);
-        sim.settle();
-        assert_eq!(sim.level(z), Logic::Zero);
-        // Release the input: its node keeps charge 1, so z stays 0.
-        sim.release_input(a);
-        sim.settle();
-        assert_eq!(sim.level(z), Logic::Zero);
-        assert_eq!(sim.level(a), Logic::One);
-        assert_eq!(sim.signal(a).strength, Strength::Charged);
-    }
-
-    #[test]
     fn preset_charge_sets_memory() {
         let (c, _a, z, _, _) = inverter();
         let mut sim = Sim::new(&c);
@@ -631,13 +592,5 @@ mod tests {
         let r = sim.settle();
         assert_eq!(sim.signal(z), s1);
         assert_eq!(r.iterations, 1); // already at fixpoint
-    }
-
-    #[test]
-    fn apply_convenience() {
-        let (c, a, z, _, _) = inverter();
-        let mut sim = Sim::new(&c);
-        sim.apply(&[(a, Logic::Zero)]);
-        assert_eq!(sim.level(z), Logic::One);
     }
 }

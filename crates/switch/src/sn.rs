@@ -148,7 +148,7 @@ fn build_rec(
 ///
 /// Returns [`SnError`] on complements or constants (same restrictions as
 /// [`build_sn`]).
-pub fn dual(expr: &Bexpr) -> Result<Bexpr, SnError> {
+pub(crate) fn dual(expr: &Bexpr) -> Result<Bexpr, SnError> {
     match expr {
         Bexpr::Const(b) => Err(SnError::Constant(*b)),
         Bexpr::Not(_) => Err(SnError::Complement),

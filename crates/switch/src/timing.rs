@@ -178,20 +178,6 @@ pub fn contention(r_up: f64, r_down: f64, v_start: f64, params: RcParams) -> Con
     }
 }
 
-/// Delay of an uncontended transition through total path resistance `r`
-/// onto capacitance `c`, measured to the `vih`/`vil` crossing.
-///
-/// Used as the fault-free baseline when quantifying Fig. 2's
-/// "longer switching delays".
-pub fn transition_delay(r: f64, params: RcParams, rising: bool) -> f64 {
-    let out = if rising {
-        contention(r, f64::INFINITY, 0.0, params)
-    } else {
-        contention(f64::INFINITY, r, 1.0, params)
-    };
-    out.settle_time
-}
-
 /// Minimum conducting path resistance between two nodes of a circuit,
 /// walking only transistors that `conducts` reports on and scaling each
 /// on-resistance by the fault set's resistive factors.
@@ -376,16 +362,6 @@ mod tests {
         let p = RcParams::typical();
         let out = contention(f64::INFINITY, R, 0.1, p);
         assert_eq!(out.settle_time, 0.0);
-    }
-
-    #[test]
-    fn transition_delay_symmetry() {
-        let p = RcParams::typical();
-        // Same R and symmetric thresholds -> equal rise and fall delays.
-        let rise = transition_delay(R, p, true);
-        let fall = transition_delay(R, p, false);
-        assert!((rise - fall).abs() < 1e-18);
-        assert!(rise > 0.0);
     }
 
     mod path_tests {

@@ -40,9 +40,10 @@ use dynmos::model::{FaultLibrary, FaultUniverse};
 use dynmos::netlist::generate::single_cell_network;
 use dynmos::netlist::parse_cell;
 use dynmos::protest::{
-    env_budget_ms, network_fault_list_from, optimize_input_probabilities_budgeted, tier_census,
-    try_test_length, DetectionEngine, DetectionEstimate, EngineConfig, EstimateMethod, JobEngine,
-    Json, LengthError, Parallelism, RunBudget, RunStatus, StopReason, TestabilityConfig,
+    env_budget_ms, network_fault_list_from, optimize_input_probabilities_budgeted,
+    test_length_budgeted, tier_census, DetectionEngine, DetectionEstimate, EngineConfig,
+    EstimateMethod, JobEngine, Json, LengthError, Parallelism, RunBudget, RunStatus, StopReason,
+    TestabilityConfig,
 };
 use std::io::{BufRead, Read, Write};
 use std::panic::catch_unwind;
@@ -238,7 +239,7 @@ fn classic(args: &[String]) -> ExitCode {
         Some(_) => format!("tiers {census}"),
     };
     println!();
-    match try_test_length(&values, 0.999) {
+    match test_length_budgeted(&values, 0.999, Parallelism::default(), &run_budget) {
         Ok(u64::MAX) => {
             println!(
                 "random test (uniform inputs, {method}): hardest detection probability \
