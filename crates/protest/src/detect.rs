@@ -329,6 +329,9 @@ impl<'n> ExactDetector<'n> {
 /// (default `auto`). A deadline/cancellation interrupt surfaces as
 /// `Err(StopReason)`.
 ///
+/// Only perfbench calls this now, to rebuild a `detect` job's expected
+/// result; the service streams the same engine per fault.
+///
 /// # Panics
 ///
 /// Panics if the arity of `pi_probs` is wrong.

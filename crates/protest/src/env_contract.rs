@@ -11,8 +11,9 @@
 use crate::chaos::FaultPlan;
 use crate::testability::TierMode;
 
-/// The four runtime knobs the service honors.
-pub const KNOBS: &[&str] = &[
+/// The four runtime knobs the service honors. [`raw`] reads no other
+/// name (checked in debug builds).
+pub(crate) const KNOBS: &[&str] = &[
     "DYNMOS_THREADS",
     "DYNMOS_BUDGET_MS",
     "DYNMOS_TESTABILITY",
@@ -38,6 +39,7 @@ impl std::fmt::Display for EnvError {
 /// every knob is ASCII, and a knob that cannot be decoded cannot be
 /// validated either.
 pub(crate) fn raw(name: &str) -> Option<String> {
+    debug_assert!(KNOBS.contains(&name), "{name} is not listed in KNOBS");
     std::env::var(name).ok()
 }
 
@@ -167,6 +169,13 @@ mod tests {
             assert_eq!(e.var, "DYNMOS_FAULT_PLAN");
             assert!(e.message.contains("DYNMOS_FAULT_PLAN invalid"), "{e}");
         });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "DYNMOS_UNLISTED is not listed in KNOBS")]
+    fn reading_an_unlisted_knob_panics() {
+        raw("DYNMOS_UNLISTED");
     }
 
     #[test]

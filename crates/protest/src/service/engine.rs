@@ -18,7 +18,9 @@ use crate::chaos::{self, mix64, FaultPlan, LegFault};
 use crate::list::{network_fault_list, stuck_fault_list};
 use crate::parallel::{panic_message, Parallelism};
 use crate::service::cache::{NetlistFormat, NetworkCache};
-use crate::service::jobs::{build_builtin, optional_str, optional_u64, JobContext, JobKernel};
+use crate::service::jobs::{
+    build_builtin, optional_str, optional_u64, required_str, JobContext, JobKernel,
+};
 use crate::service::journal::Journal;
 use crate::service::json::{write_object, Json};
 use std::collections::VecDeque;
@@ -433,8 +435,8 @@ impl JobEngine {
     /// `{"ok":false,"shed":true,...}` when the queue is full, or
     /// `{"ok":false,"error":...}` for malformed requests.
     pub fn submit_json(&mut self, request: &Json) -> Json {
-        if request.get("kind").and_then(Json::as_str).is_none() {
-            return self.reject("missing \"kind\"");
+        if let Err(e) = required_str(request, "kind") {
+            return self.reject(&e);
         }
         // Shed before compiling anything: an overloaded service must
         // refuse cheaply.
@@ -486,16 +488,8 @@ impl JobEngine {
     /// and journal recovery, so a recovered job recompiles through the
     /// exact same cache path as its original submission.
     fn build_job(&mut self, request: &Json) -> Result<BuiltJob, String> {
-        let kind = request
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing \"kind\"")?
-            .to_owned();
-        let source = request
-            .get("netlist")
-            .and_then(Json::as_str)
-            .ok_or("missing \"netlist\"")?
-            .to_owned();
+        let kind = required_str(request, "kind")?.to_owned();
+        let source = required_str(request, "netlist")?.to_owned();
         let format = match optional_str(request, "format")? {
             None => NetlistFormat::Bench,
             Some(s) => NetlistFormat::parse(s)?,

@@ -7,14 +7,16 @@
 //! checkpointable boundary. Kernels commit state **only on return** —
 //! a leg that dies mid-flight (injected kill, worker panic) leaves the
 //! kernel exactly at its previous checkpoint, which is what makes
-//! supervisor retries bit-identical to an uninterrupted run for the
-//! checkpointed kernels (fault simulation, both Monte Carlo
-//! estimators, and PODEM, all run through [`Checkpointed`]; the
-//! testability kernel commits per fault) and merely
-//! idempotent-restarted for the rest.
+//! supervisor retries bit-identical to an uninterrupted run. Fault
+//! simulation, both Monte Carlo estimators and PODEM run through
+//! [`Checkpointed`]. One streamed estimate job serves `detect`,
+//! `testability` and `length`: it commits per fault, and `length`
+//! then searches the test length over the committed estimates.
+//! `optimize` keeps its last report but restarts an interrupted
+//! descent.
 
 use crate::budget::{RunBudget, RunStatus, DEFAULT_EXACT_ROWS};
-use crate::detect::{detection_probability_estimates, DetectionEstimate, EstimateMethod};
+use crate::detect::{DetectionEstimate, EstimateMethod};
 use crate::fsim::{FaultSimulator, FsimCheckpoint, FsimOutcome};
 use crate::length::{test_length_budgeted, LengthError};
 use crate::list::FaultEntry;
@@ -272,6 +274,15 @@ pub(crate) fn optional_str<'a>(params: &'a Json, key: &str) -> Result<Option<&'a
                 .ok_or_else(|| format!("{key:?} must be a string, got {v}"))
         })
         .transpose()
+}
+
+/// [`optional_str`] for a key the request must carry.
+///
+/// # Errors
+///
+/// Returns a message naming `key` when it is absent or not a string.
+pub(crate) fn required_str<'a>(params: &'a Json, key: &str) -> Result<&'a str, String> {
+    optional_str(params, key)?.ok_or_else(|| format!("missing {key:?}"))
 }
 
 /// [`optional_u64`] for a parameter that must be a number.
@@ -557,109 +568,6 @@ impl Resumable for McSignal {
     }
 }
 
-/// The tiered detection estimator ([`detection_probability_estimates`]:
-/// exact enumeration, degrading to the BDD and cutting tiers). No
-/// checkpoint exists for this kernel, so an interrupted leg (or a
-/// process crash — its journal snapshot is `null`) restarts from
-/// scratch — completion is still deterministic because the estimator is
-/// a pure function of `(net, faults, probs, seed)`.
-struct DetectEstimatesJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
-    seed: u64,
-    probs: Vec<f64>,
-    max_exact_rows: Option<u64>,
-    result: Option<Vec<DetectionEstimate>>,
-}
-
-impl DetectEstimatesJob {
-    /// Builds the job from a request (`seed`, `probs`,
-    /// `max_exact_rows`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs`, a mistyped `seed`, or a
-    /// `max_exact_rows` that is not an integer in
-    /// `0..=DEFAULT_EXACT_ROWS`: a larger cap
-    /// would let the unbudgeted first fault of the exact tier outrun
-    /// the job's deadline.
-    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
-        let max_exact_rows = optional_u64(ctx.params, "max_exact_rows")?;
-        if let Some(rows) = max_exact_rows.filter(|&rows| rows > DEFAULT_EXACT_ROWS) {
-            return Err(format!(
-                "\"max_exact_rows\" must be at most {DEFAULT_EXACT_ROWS}, got {rows}"
-            ));
-        }
-        Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
-            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
-            max_exact_rows,
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            result: None,
-        })
-    }
-
-    fn budget_with_rows(&self, budget: &RunBudget) -> RunBudget {
-        let mut b = budget.clone();
-        b.max_exact_rows = self.max_exact_rows.or(b.max_exact_rows);
-        b
-    }
-}
-
-impl JobKernel for DetectEstimatesJob {
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.result.is_some() {
-            return RunStatus::Completed;
-        }
-        match detection_probability_estimates(
-            &self.net,
-            &self.faults,
-            &self.probs,
-            self.seed,
-            self.parallelism,
-            &self.budget_with_rows(budget),
-        ) {
-            Ok(est) => {
-                self.result = Some(est);
-                RunStatus::Completed
-            }
-            Err(reason) => RunStatus::Interrupted(reason),
-        }
-    }
-
-    fn output(&self) -> Json {
-        let estimates = self.result.as_deref().unwrap_or(&[]);
-        Json::Obj(vec![
-            ("kind".into(), Json::str("detect")),
-            (
-                "estimates".into(),
-                Json::Arr(estimates.iter().map(estimate_json).collect()),
-            ),
-            ("complete".into(), Json::Bool(self.result.is_some())),
-        ])
-    }
-
-    fn snapshot(&self) -> Json {
-        // Stateless by design: the estimator is a pure function of
-        // `(net, faults, probs, seed)`, so there is no cross-leg state
-        // worth journaling — an explicit `null` documents that a
-        // recovered job recomputes from scratch and still completes
-        // bit-identically.
-        Json::Null
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        match snapshot {
-            Json::Null => Ok(()),
-            other => Err(format!("detect snapshot: expected null, got {other}")),
-        }
-    }
-}
-
 /// Shared payload shape for a [`DetectionEstimate`]: value, standard
 /// error, engine-tier token, and — for the cutting tier — certified
 /// bounds.
@@ -676,142 +584,13 @@ fn estimate_json(e: &DetectionEstimate) -> Json {
     Json::Obj(fields)
 }
 
-/// Two-phase test-length job: detection probabilities (phase 1, cached
-/// at the phase boundary) then the joint-confidence length search
-/// (phase 2). Phase 1 has no checkpoint — an interrupted leg restarts
-/// it — but once cached it survives later leg deaths.
-struct TestLengthJob {
-    net: Arc<Network>,
-    faults: Vec<FaultEntry>,
-    parallelism: Parallelism,
-    seed: u64,
-    probs: Vec<f64>,
-    confidence: f64,
-    values: Option<Vec<f64>>,
-    length: Option<u64>,
-    failure: Option<String>,
-}
-
-impl TestLengthJob {
-    /// Builds the job from a request (`confidence`, `seed`, `probs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid `probs` or a mistyped `confidence`
-    /// or `seed`.
-    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
-        let n = ctx.net.primary_inputs().len();
-        Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
-            seed: optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED),
-            confidence: optional_f64(ctx.params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE),
-            net: ctx.net,
-            faults: ctx.faults,
-            parallelism: ctx.parallelism,
-            values: None,
-            length: None,
-            failure: None,
-        })
-    }
-}
-
-impl JobKernel for TestLengthJob {
-    fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.length.is_some() || self.failure.is_some() {
-            return RunStatus::Completed;
-        }
-        if self.values.is_none() {
-            match detection_probability_estimates(
-                &self.net,
-                &self.faults,
-                &self.probs,
-                self.seed,
-                self.parallelism,
-                budget,
-            ) {
-                Ok(est) => self.values = Some(est.iter().map(|e| e.value).collect()),
-                Err(reason) => return RunStatus::Interrupted(reason),
-            }
-            // Phase boundary: honor the budget before starting the
-            // search so a timed-out leg checkpoints here.
-            if let Some(reason) = budget.stop_requested() {
-                return RunStatus::Interrupted(reason);
-            }
-        }
-        let values = self.values.as_ref().expect("phase 1 done");
-        match test_length_budgeted(values, self.confidence, self.parallelism, budget) {
-            Ok(n) => {
-                self.length = Some(n);
-                RunStatus::Completed
-            }
-            Err(LengthError::Interrupted(reason)) => RunStatus::Interrupted(reason),
-            Err(e) => {
-                // Bad inputs are permanent, not retryable: report the
-                // failure in the output and complete the job.
-                self.failure = Some(e.to_string());
-                RunStatus::Completed
-            }
-        }
-    }
-
-    fn output(&self) -> Json {
-        let mut members = vec![
-            ("kind".into(), Json::str("length")),
-            ("confidence".into(), Json::Num(self.confidence)),
-        ];
-        match self.length {
-            // u64::MAX is the kernels' "some fault is never detected"
-            // sentinel; JSON readers get an explicit flag instead.
-            Some(u64::MAX) => {
-                members.push(("length".into(), Json::Null));
-                members.push(("unbounded".into(), Json::Bool(true)));
-            }
-            Some(n) => members.push(("length".into(), Json::num(n))),
-            None => members.push(("length".into(), Json::Null)),
-        }
-        if let Some(f) = &self.failure {
-            members.push(("error".into(), Json::str(f.clone())));
-        }
-        members.push((
-            "complete".into(),
-            Json::Bool(self.length.is_some() || self.failure.is_some()),
-        ));
-        Json::Obj(members)
-    }
-
-    fn snapshot(&self) -> Json {
-        // The phase-1 cache is the job's only cross-leg state. f64
-        // values round-trip exactly: the JSON emitter uses shortest-
-        // roundtrip formatting, so the phase-2 search sees bit-equal
-        // inputs after a crash.
-        Json::Obj(vec![(
-            "values".into(),
-            match &self.values {
-                Some(vs) => Json::Arr(vs.iter().map(|&v| Json::Num(v)).collect()),
-                None => Json::Null,
-            },
-        )])
-    }
-
-    fn restore(&mut self, snapshot: &Json) -> Result<(), String> {
-        self.values = match snapshot.get("values") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(items)) if items.len() == self.faults.len() => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        probability(v).ok_or_else(|| format!("length snapshot: bad value {v}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Some(other) => {
-                return Err(format!(
-                    "length snapshot: values must hold one probability per fault ({}), got {other}",
-                    self.faults.len()
-                ))
-            }
-        };
-        Ok(())
+/// A test length as JSON. The kernels' `u64::MAX` = "some fault is
+/// never detected" sentinel exceeds 2^53 and cannot ride a JSON number
+/// exactly, so it is written as null.
+fn length_json(n: u64) -> Json {
+    match n {
+        u64::MAX => Json::Null,
+        n => Json::num(n),
     }
 }
 
@@ -888,8 +667,8 @@ impl JobKernel for OptimizeJob {
                 "probabilities".into(),
                 Json::Arr(r.probabilities.iter().map(|&p| Json::Num(p)).collect()),
             ));
-            members.push(("uniform_length".into(), Json::num(r.uniform_length)));
-            members.push(("optimized_length".into(), Json::num(r.optimized_length)));
+            members.push(("uniform_length".into(), length_json(r.uniform_length)));
+            members.push(("optimized_length".into(), length_json(r.optimized_length)));
             members.push(("sweeps".into(), Json::num(r.sweeps as u64)));
             members.push(("tiers".into(), Json::str(tier_census(&self.methods))));
         }
@@ -901,23 +680,17 @@ impl JobKernel for OptimizeJob {
         // The best-so-far report is the job's cross-leg state: a
         // crash between legs must not forget a finished descent (the
         // engine would otherwise re-run it and, worse, report
-        // `complete: false` forever if the budget shrank). Lengths use
-        // the `u64::MAX` = "unbounded" sentinel, which exceeds 2^53 and
-        // cannot ride a JSON number exactly, so it serializes as null.
+        // `complete: false` forever if the budget shrank).
         let Some(r) = &self.report else {
             return Json::Null;
-        };
-        let length = |n: u64| match n {
-            u64::MAX => Json::Null,
-            n => Json::num(n),
         };
         Json::Obj(vec![
             (
                 "probabilities".into(),
                 Json::Arr(r.probabilities.iter().map(|&p| Json::Num(p)).collect()),
             ),
-            ("uniform_length".into(), length(r.uniform_length)),
-            ("optimized_length".into(), length(r.optimized_length)),
+            ("uniform_length".into(), length_json(r.uniform_length)),
+            ("optimized_length".into(), length_json(r.optimized_length)),
             ("sweeps".into(), Json::num(r.sweeps as u64)),
             (
                 "methods".into(),
@@ -998,109 +771,230 @@ impl JobKernel for OptimizeJob {
     }
 }
 
-/// Streaming tiered testability job: detection probabilities for the
-/// whole fault list via the [`DetectionEngine`], committed one fault at
-/// a time. Unlike `detect`, this kernel checkpoints mid-list — the
-/// snapshot carries every committed estimate, and the engine's
-/// per-fault values are batch-independent — so a crash-recovered job
-/// resumes at the last journaled fault boundary and still completes
-/// bit-identical to an uninterrupted run.
-struct TestabilityJob {
+/// What an [`EstimateJob`] derives from its estimates: the per-kind tag
+/// of the three job kinds it serves.
+enum EstimateKind {
+    /// `detect`: the estimates alone.
+    Detect,
+    /// `testability`: the estimates and their tier census.
+    Testability,
+    /// `length`: the joint-confidence test length over the estimates'
+    /// values, searched once every estimate is committed.
+    Length { confidence: f64 },
+}
+
+/// The streamed detection-estimate job behind `detect`, `testability`
+/// and `length`: detection probabilities for the whole fault list via
+/// the [`DetectionEngine`], committed one fault at a time. The snapshot
+/// carries every committed estimate, and the engine's per-fault values
+/// are batch-independent, so a crash-recovered job resumes at the last
+/// journaled fault boundary and still completes bit-identical to an
+/// uninterrupted run. A `length` job then runs the length search, which
+/// keeps no checkpoint: an interrupted search re-runs from the committed
+/// estimates.
+struct EstimateJob {
+    kind: EstimateKind,
     net: Arc<Network>,
     faults: Vec<FaultEntry>,
     parallelism: Parallelism,
     probs: Vec<f64>,
     config: TestabilityConfig,
+    /// `detect` only: the request's cap on the exact tier's row space,
+    /// applied to every leg's budget.
+    max_exact_rows: Option<u64>,
     /// Committed estimates for faults `0..done.len()`, in list order.
     done: Vec<DetectionEstimate>,
+    /// `length` only: the searched length, or the search's permanent
+    /// failure (bad inputs), once the search has finished.
+    length: Option<Result<u64, String>>,
 }
 
-impl TestabilityJob {
-    /// Builds the job from a request (`probs`, `seed`, `mode`,
-    /// `node_budget`, `tighten_samples`). An absent `mode` follows the
-    /// process-wide `DYNMOS_TESTABILITY` policy.
+impl EstimateJob {
+    /// Builds a `detect`, `length` or `testability` job from a request.
+    /// Each kind reads its own keys, in its own order:
+    /// - `detect`: `max_exact_rows`, `probs`, `seed`;
+    /// - `length`: `probs`, `seed`, `confidence`;
+    /// - `testability`: `seed`, `mode`, `node_budget`,
+    ///   `tighten_samples`, `probs`. An absent `mode` follows the
+    ///   process-wide `DYNMOS_TESTABILITY` policy, as it does for the
+    ///   other two kinds.
     ///
     /// # Errors
     ///
-    /// Returns a message for invalid `probs`, an unknown or mistyped
-    /// `mode`, a mistyped `seed`, `node_budget` or `tighten_samples`, or a
-    /// `tighten_samples` above [`MAX_TIGHTEN_SAMPLES`]: the sample bank is
-    /// drawn outside the leg budget, so a larger count would let a leg
-    /// ignore its deadline.
-    fn from_request(ctx: JobContext<'_>) -> Result<Self, String> {
+    /// Returns a message for invalid `probs`; a mistyped key; a
+    /// `max_exact_rows` above [`DEFAULT_EXACT_ROWS`], which would let the
+    /// unbudgeted first fault of the exact tier outrun the job's
+    /// deadline; an unknown `mode`; or a `tighten_samples` above
+    /// [`MAX_TIGHTEN_SAMPLES`]: the sample bank is drawn outside the leg
+    /// budget, so a larger count would let a leg ignore its deadline.
+    fn from_request(kind: &str, ctx: JobContext<'_>) -> Result<Self, String> {
+        let params = ctx.params;
         let n = ctx.net.primary_inputs().len();
-        let mut config = TestabilityConfig::from_env()
-            .with_seed(optional_u64(ctx.params, "seed")?.unwrap_or(DEFAULT_SEED));
-        if let Some(token) = optional_str(ctx.params, "mode")? {
-            config = config.with_mode(TierMode::parse(token)?);
-        }
-        if let Some(nodes) = optional_u64(ctx.params, "node_budget")? {
-            config = config.with_node_budget(nodes as usize);
-        }
-        if let Some(samples) = optional_u64(ctx.params, "tighten_samples")? {
-            if samples > MAX_TIGHTEN_SAMPLES {
-                return Err(format!(
-                    "\"tighten_samples\" must be at most {MAX_TIGHTEN_SAMPLES}, got {samples}"
-                ));
+        let seeded = || {
+            Ok::<_, String>(
+                TestabilityConfig::from_env()
+                    .with_seed(optional_u64(params, "seed")?.unwrap_or(DEFAULT_SEED)),
+            )
+        };
+        let probs = || param_probs(params, n, 0.5);
+        let (kind, probs, config, max_exact_rows) = match kind {
+            "detect" => {
+                let rows = optional_u64(params, "max_exact_rows")?;
+                if let Some(rows) = rows.filter(|&rows| rows > DEFAULT_EXACT_ROWS) {
+                    return Err(format!(
+                        "\"max_exact_rows\" must be at most {DEFAULT_EXACT_ROWS}, got {rows}"
+                    ));
+                }
+                let probs = probs()?;
+                (EstimateKind::Detect, probs, seeded()?, rows)
             }
-            config = config.with_mc_tighten_samples(samples);
-        }
+            "length" => {
+                let probs = probs()?;
+                let config = seeded()?;
+                let confidence = optional_f64(params, "confidence")?.unwrap_or(DEFAULT_CONFIDENCE);
+                (EstimateKind::Length { confidence }, probs, config, None)
+            }
+            _ => {
+                let mut config = seeded()?;
+                if let Some(token) = optional_str(params, "mode")? {
+                    config = config.with_mode(TierMode::parse(token)?);
+                }
+                if let Some(nodes) = optional_u64(params, "node_budget")? {
+                    config = config.with_node_budget(nodes as usize);
+                }
+                if let Some(samples) = optional_u64(params, "tighten_samples")? {
+                    if samples > MAX_TIGHTEN_SAMPLES {
+                        return Err(format!(
+                            "\"tighten_samples\" must be at most {MAX_TIGHTEN_SAMPLES}, got {samples}"
+                        ));
+                    }
+                    config = config.with_mc_tighten_samples(samples);
+                }
+                (EstimateKind::Testability, probs()?, config, None)
+            }
+        };
         Ok(Self {
-            probs: param_probs(ctx.params, n, 0.5)?,
+            kind,
+            probs,
             config,
+            max_exact_rows,
             net: ctx.net,
             faults: ctx.faults,
             parallelism: ctx.parallelism,
             done: Vec::new(),
+            length: None,
         })
+    }
+
+    fn estimated(&self) -> bool {
+        self.done.len() >= self.faults.len()
     }
 
     fn complete(&self) -> bool {
-        self.done.len() >= self.faults.len()
+        match self.kind {
+            EstimateKind::Length { .. } => self.length.is_some(),
+            _ => self.estimated(),
+        }
+    }
+
+    fn estimates_json(&self) -> Json {
+        Json::Arr(self.done.iter().map(estimate_json).collect())
     }
 }
 
-impl JobKernel for TestabilityJob {
+impl JobKernel for EstimateJob {
     fn run_leg(&mut self, budget: &RunBudget) -> RunStatus {
-        if self.complete() {
+        let streamed = !self.estimated();
+        if streamed {
+            let mut budget = budget.clone();
+            budget.max_exact_rows = self.max_exact_rows.or(budget.max_exact_rows);
+            // The engine borrows the network, so each leg builds a fresh
+            // one; per-fault values are engine-instance-independent (the
+            // streaming contract of `estimates_from`), so legs compose
+            // bit-identically.
+            let mut engine = DetectionEngine::new(&self.net, &self.faults, self.config.clone())
+                .with_parallelism(self.parallelism);
+            let start = self.done.len();
+            let done = &mut self.done;
+            let status = engine.estimates_from(start, &self.probs, &budget, &mut |i, est| {
+                debug_assert_eq!(i, done.len());
+                done.push(est);
+            });
+            if !status.is_complete() {
+                return status;
+            }
+        }
+        let EstimateKind::Length { confidence } = self.kind else {
+            return RunStatus::Completed;
+        };
+        if self.length.is_some() {
             return RunStatus::Completed;
         }
-        // The engine borrows the network, so each leg builds a fresh
-        // one; per-fault values are engine-instance-independent (the
-        // streaming contract of `estimates_from`), so legs compose
-        // bit-identically.
-        let mut engine = DetectionEngine::new(&self.net, &self.faults, self.config.clone())
-            .with_parallelism(self.parallelism);
-        let start = self.done.len();
-        let done = &mut self.done;
-        engine.estimates_from(start, &self.probs, budget, &mut |i, est| {
-            debug_assert_eq!(i, done.len());
-            done.push(est);
-        })
+        // A leg that starts at the search runs it without a deadline:
+        // the search is the job's last unit of work, so this is its
+        // forward progress under any leg slice.
+        let search_budget = if streamed {
+            budget.clone()
+        } else {
+            RunBudget {
+                deadline: None,
+                ..budget.clone()
+            }
+        };
+        let values: Vec<f64> = self.done.iter().map(|e| e.value).collect();
+        self.length =
+            match test_length_budgeted(&values, confidence, self.parallelism, &search_budget) {
+                Ok(n) => Some(Ok(n)),
+                Err(LengthError::Interrupted(reason)) => return RunStatus::Interrupted(reason),
+                // Bad inputs are permanent, not retryable: report the
+                // failure in the output and complete the job.
+                Err(e) => Some(Err(e.to_string())),
+            };
+        RunStatus::Completed
     }
 
     fn output(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".into(), Json::str("testability")),
-            (
-                "estimates".into(),
-                Json::Arr(self.done.iter().map(estimate_json).collect()),
-            ),
-            (
-                "tiers".into(),
-                Json::str(tier_census(self.done.iter().map(|e| &e.method))),
-            ),
-            ("complete".into(), Json::Bool(self.complete())),
-        ])
+        let mut members: Vec<(String, Json)> = match self.kind {
+            EstimateKind::Detect => vec![
+                ("kind".into(), Json::str("detect")),
+                ("estimates".into(), self.estimates_json()),
+            ],
+            EstimateKind::Testability => vec![
+                ("kind".into(), Json::str("testability")),
+                ("estimates".into(), self.estimates_json()),
+                (
+                    "tiers".into(),
+                    Json::str(tier_census(self.done.iter().map(|e| &e.method))),
+                ),
+            ],
+            EstimateKind::Length { confidence } => {
+                let found = self.length.as_ref().and_then(|r| r.as_ref().ok());
+                let mut members = vec![
+                    ("kind".into(), Json::str("length")),
+                    ("confidence".into(), Json::Num(confidence)),
+                    (
+                        "length".into(),
+                        found.map_or(Json::Null, |&n| length_json(n)),
+                    ),
+                ];
+                // JSON readers get an explicit flag beside the null.
+                if found == Some(&u64::MAX) {
+                    members.push(("unbounded".into(), Json::Bool(true)));
+                }
+                if let Some(Err(e)) = &self.length {
+                    members.push(("error".into(), Json::str(e.clone())));
+                }
+                members
+            }
+        };
+        members.push(("complete".into(), Json::Bool(self.complete())));
+        Json::Obj(members)
     }
 
     fn snapshot(&self) -> Json {
         Json::Obj(vec![
             ("next".into(), Json::num(self.done.len() as u64)),
-            (
-                "estimates".into(),
-                Json::Arr(self.done.iter().map(estimate_json).collect()),
-            ),
+            ("estimates".into(), self.estimates_json()),
         ])
     }
 
@@ -1111,38 +1005,41 @@ impl JobKernel for TestabilityJob {
         let next = snapshot
             .get("next")
             .and_then(Json::as_u64)
-            .ok_or("testability snapshot: bad or missing \"next\"")? as usize;
+            .ok_or("estimate snapshot: bad or missing \"next\"")? as usize;
         let items = match snapshot.get("estimates") {
             Some(Json::Arr(items)) => items,
-            _ => return Err("testability snapshot: bad or missing \"estimates\"".into()),
+            _ => return Err("estimate snapshot: bad or missing \"estimates\"".into()),
         };
         if next != items.len() || next > self.faults.len() {
             return Err(format!(
-                "testability snapshot: next={next} disagrees with {} estimates over {} faults",
+                "estimate snapshot: next={next} disagrees with {} estimates over {} faults",
                 items.len(),
                 self.faults.len()
             ));
         }
-        let mut done = Vec::with_capacity(items.len());
-        for item in items {
-            done.push(estimate_from_json(item)?);
-        }
-        self.done = done;
+        self.done = items
+            .iter()
+            .map(estimate_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(())
     }
 }
 
 /// Inverse of [`estimate_json`], for snapshot restore. The JSON writer
 /// prints floats in Rust's shortest round-trip form, so the restored
-/// values are bit-identical to the committed ones.
+/// values are bit-identical to the committed ones. An estimate no tier
+/// can produce is refused: a value outside `[0, 1]`, a negative
+/// standard error, bounds on any tier but cutting or none on cutting,
+/// `low > high`, or a value outside `[low, high]`.
 fn estimate_from_json(item: &Json) -> Result<DetectionEstimate, String> {
     let value = item
         .get("value")
-        .and_then(Json::as_f64)
+        .and_then(probability)
         .ok_or("estimate: bad or missing \"value\"")?;
     let std_error = item
         .get("std_error")
         .and_then(Json::as_f64)
+        .filter(|&e| e >= 0.0)
         .ok_or("estimate: bad or missing \"std_error\"")?;
     let token = item
         .get("method")
@@ -1157,6 +1054,18 @@ fn estimate_from_json(item: &Json) -> Result<DetectionEstimate, String> {
         (None, None) => None,
         _ => return Err("estimate: bounds need both \"low\" and \"high\"".into()),
     };
+    match (method, bounds) {
+        (EstimateMethod::Cutting, None) => {
+            return Err("estimate: a cutting estimate needs \"low\" and \"high\"".into())
+        }
+        (EstimateMethod::Cutting, Some((lo, hi))) if !(lo <= value && value <= hi) => {
+            return Err(format!(
+                "estimate: value {value} lies outside its bounds [{lo}, {hi}]"
+            ))
+        }
+        (EstimateMethod::Cutting, _) | (_, None) => {}
+        (_, Some(_)) => return Err(format!("estimate: a {token} estimate has no bounds")),
+    }
     Ok(DetectionEstimate {
         value,
         std_error,
@@ -1181,10 +1090,8 @@ pub fn build_builtin(
         "fsim" => boxed(Checkpointed::<Fsim>::from_request(ctx)),
         "mc-detect" => boxed(Checkpointed::<McDetect>::from_request(ctx)),
         "mc-signal" => boxed(Checkpointed::<McSignal>::from_request(ctx)),
-        "detect" => boxed(DetectEstimatesJob::from_request(ctx)),
-        "length" => boxed(TestLengthJob::from_request(ctx)),
+        "detect" | "length" | "testability" => boxed(EstimateJob::from_request(kind, ctx)),
         "optimize" => boxed(OptimizeJob::from_request(ctx)),
-        "testability" => boxed(TestabilityJob::from_request(ctx)),
         _ => return None,
     })
 }
@@ -1229,16 +1136,37 @@ mod tests {
     #[test]
     fn length_restore_refuses_impossible_values() {
         let mut k = kernel("length", "{}");
-        let nineteen =
-            |v: &str| format!(r#"{{"values":[{}]}}"#, vec!["0.5"; 18].join(",") + "," + v);
-        assert!(restores(k.as_mut(), r#"{"values":null}"#));
-        assert!(restores(k.as_mut(), &nineteen("0.25")));
+        let exact = |v: &str| format!(r#"{{"value":{v},"std_error":0,"method":"exact"}}"#);
+        let cutting = |v: &str, e: &str, bounds: &str| {
+            format!(r#"{{"value":{v},"std_error":{e},"method":"cutting"{bounds}}}"#)
+        };
+        // A snapshot at `next` whose estimates are 18 halves and `last`.
+        let snap = |next: usize, last: &str| {
+            let mut items = vec![exact("0.5"); 18];
+            items.push(last.to_owned());
+            format!(r#"{{"next":{next},"estimates":[{}]}}"#, items.join(","))
+        };
+        assert!(restores(k.as_mut(), "null"));
+        assert!(restores(k.as_mut(), r#"{"next":0,"estimates":[]}"#));
+        assert!(restores(k.as_mut(), &snap(19, &exact("0.25"))));
+        let bounded = cutting("0.25", "0.01", r#","low":0.2,"high":0.3"#);
+        assert!(restores(k.as_mut(), &snap(19, &bounded)));
         for bad in [
-            r#"{"values":[0.5]}"#.to_owned(),
-            r#"{"values":[]}"#.to_owned(),
-            nineteen("1.5"),
-            nineteen("-0.1"),
-            nineteen("0.5,0.5"),
+            r#"{"next":1,"estimates":[]}"#.to_owned(),
+            r#"{"values":null}"#.to_owned(),
+            snap(18, &exact("0.25")),
+            snap(20, &format!("{},{}", exact("0.5"), exact("0.5"))),
+            snap(19, &exact("1.5")),
+            snap(19, &exact("-0.1")),
+            snap(19, r#"{"value":0.25,"std_error":-0.1,"method":"exact"}"#),
+            snap(
+                19,
+                r#"{"value":0.25,"std_error":0,"method":"bdd","low":0.2,"high":0.3}"#,
+            ),
+            snap(19, &cutting("0.25", "0.01", "")),
+            snap(19, &cutting("0.25", "0.01", r#","low":0.2"#)),
+            snap(19, &cutting("0.25", "0.01", r#","low":0.3,"high":0.2"#)),
+            snap(19, &cutting("0.35", "0.01", r#","low":0.2,"high":0.3"#)),
         ] {
             assert!(!restores(k.as_mut(), &bad), "accepted {bad}");
         }
@@ -1250,6 +1178,7 @@ mod tests {
         assert!(clean.run_leg(&RunBudget::unlimited()).is_complete());
         let mut restored = kernel("length", "{}");
         let snapshot = Json::parse(&clean.snapshot().to_string()).expect("round trip");
+        assert_eq!(snapshot.get("next").and_then(Json::as_u64), Some(19));
         restored.restore(&snapshot).expect("own snapshot restores");
         assert!(restored.run_leg(&RunBudget::unlimited()).is_complete());
         assert_eq!(restored.output().to_string(), clean.output().to_string());

@@ -2,9 +2,10 @@
 //! budgeted PROTEST kernels.
 //!
 //! Every budgeted kernel in this crate (weighted-random fault
-//! simulation, both Monte Carlo estimators, the exact/MC detection
-//! estimator, test length, input-probability optimization — plus ATPG
-//! via `dynmos_atpg::service`) is wrapped behind the
+//! simulation, both Monte Carlo estimators, the tiered detection
+//! estimator streamed per fault behind `detect`, `testability` and
+//! `length`, input-probability optimization — plus ATPG via
+//! `dynmos_atpg::service`) is wrapped behind the
 //! [`JobKernel`] abstraction and run by [`JobEngine`], a supervisor
 //! loop providing:
 //!

@@ -337,8 +337,9 @@ impl<'n> DetectionEngine<'n> {
     /// at per-fault granularity; estimates already emitted when the run
     /// is interrupted are final and **batch-independent**: resuming at
     /// any fault boundary (even in a fresh process) reproduces
-    /// bit-identical values, which is what the `testability` service
-    /// kernel's durability contract relies on.
+    /// bit-identical values, which is what the durability contract of
+    /// the service's estimate job (`detect`, `testability`, `length`)
+    /// relies on.
     ///
     /// At least one fault makes progress per call even on an expired
     /// budget (the forward-progress contract of [`RunBudget`]).

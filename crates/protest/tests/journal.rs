@@ -446,6 +446,67 @@ fn leg_snapshots_resume_mid_job() {
     let _ = fs::remove_dir_all(&crash_dir);
 }
 
+/// A `detect` job stopped mid-list resumes from its `{"next",...}` leg
+/// record: the resumed session ends with the `results` bytes of the
+/// uninterrupted one, whose result equals an unsliced run's.
+#[test]
+fn detect_resumes_mid_list_from_its_leg_record() {
+    let request = Json::Obj(vec![
+        ("kind".into(), Json::str("detect")),
+        ("format".into(), Json::str("cell")),
+        (
+            "netlist".into(),
+            Json::str("TECHNOLOGY domino-CMOS; INPUT a,b,c,d,e; OUTPUT z; z := a*b*c + d*e;"),
+        ),
+        ("seed".into(), Json::num(7u64)),
+    ]);
+    let unsliced = {
+        let mut engine = JobEngine::new(test_config());
+        engine.submit_json(&request);
+        engine.run_next().expect("unsliced run").result.to_string()
+    };
+    // Every leg starts on an expired slice and commits one fault.
+    let sliced = || {
+        JobEngine::new(EngineConfig {
+            leg_ms: Some(0),
+            ..test_config()
+        })
+    };
+    let dir = scratch("detect-mid-list");
+    let mut engine = sliced();
+    engine.attach_journal(&dir).unwrap();
+    engine.submit_json(&request);
+    let record = engine.run_next().expect("journaled run");
+    assert_eq!(record.status, JobStatus::Completed);
+    assert_eq!(record.result.to_string(), unsliced);
+    let uninterrupted = engine.results_line();
+    drop(engine);
+
+    // The process dies right after the leg that committed fault 4.
+    let text = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let cut = lines
+        .iter()
+        .position(|l| l.contains(r#""snapshot":{"next":5,"estimates":[{"#))
+        .unwrap_or_else(|| panic!("no leg record at fault 5: {text}"));
+    let crash_dir = scratch("detect-mid-list-crash");
+    fs::create_dir_all(&crash_dir).unwrap();
+    fs::write(
+        crash_dir.join(JOURNAL_FILE),
+        format!("{}\n", lines[..=cut].join("\n")),
+    )
+    .unwrap();
+
+    let mut resumed = sliced();
+    let summary = resumed.attach_journal(&crash_dir).unwrap();
+    assert_eq!(summary.get("resumed").and_then(Json::as_u64), Some(1));
+    resumed.drain();
+    assert_eq!(resumed.results_line(), uninterrupted);
+
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&crash_dir);
+}
+
 // ---------------------------------------------------------------------
 // Backoff-vs-deadline clamp.
 // ---------------------------------------------------------------------

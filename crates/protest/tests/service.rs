@@ -278,6 +278,11 @@ fn bad_requests_are_rejected_with_reasons() {
     let cases = [
         (r#"{"netlist":"x"}"#, "missing \"kind\""),
         (r#"{"kind":"fsim"}"#, "missing \"netlist\""),
+        (r#"{"kind":5,"netlist":"x"}"#, "\"kind\" must be a string"),
+        (
+            r#"{"kind":"fsim","netlist":7}"#,
+            "\"netlist\" must be a string",
+        ),
         (r#"{"kind":"nope","netlist":"a"}"#, "does not compile"),
     ];
     for (request, needle) in cases {
@@ -559,4 +564,79 @@ fn all_builtin_kinds_survive_kill_injection() {
             record.result
         );
     }
+}
+
+/// The 5-input domino cell `a*b*c + d*e`: 19 faults.
+const CELL: &str = "TECHNOLOGY domino-CMOS; INPUT a,b,c,d,e; OUTPUT z; z := a*b*c + d*e;";
+
+fn job_request(kind: &str, format: &str, netlist: &str) -> Json {
+    Json::Obj(vec![
+        ("kind".into(), Json::str(kind)),
+        ("format".into(), Json::str(format)),
+        ("netlist".into(), Json::str(netlist.to_owned())),
+        ("seed".into(), Json::num(7u64)),
+    ])
+}
+
+/// `detect`, `length` and `testability` finish under an already-expired
+/// leg slice: every leg commits at least one fault (and a `length` leg
+/// that starts at the search finishes it), and the result is
+/// byte-identical to an unsliced engine's.
+#[test]
+fn estimate_jobs_finish_under_an_expired_leg_slice() {
+    let bench = ripple_adder_bench_text(3);
+    for (format, netlist) in [("cell", CELL), ("bench", bench.as_str())] {
+        for kind in ["detect", "length", "testability"] {
+            let request = job_request(kind, format, netlist);
+            let run = |leg_ms: Option<u64>| {
+                let mut engine = JobEngine::new(EngineConfig {
+                    leg_ms,
+                    max_legs: 1_000,
+                    ..test_config()
+                });
+                submit_ok(&mut engine, &request.to_string());
+                engine.run_next().expect("queued")
+            };
+            let unsliced = run(None);
+            let sliced = run(Some(0));
+            assert_eq!(
+                sliced.status,
+                JobStatus::Completed,
+                "{kind} on {format}: {:?}",
+                sliced.error
+            );
+            assert!(sliced.legs > 1, "{kind} on {format}: one leg");
+            assert_eq!(
+                sliced.result.to_string(),
+                unsliced.result.to_string(),
+                "{kind} on {format}: sliced result differs"
+            );
+        }
+    }
+}
+
+/// An `optimize` record cut before its first objective evaluation has
+/// no lengths yet: they read null, never the `u64::MAX` sentinel.
+#[test]
+fn interrupted_optimize_writes_unknown_lengths_as_null() {
+    let mut engine = JobEngine::new(EngineConfig {
+        leg_ms: Some(0),
+        max_legs: 3,
+        ..test_config()
+    });
+    submit_ok(
+        &mut engine,
+        &job_request("optimize", "cell", CELL).to_string(),
+    );
+    let record = engine.run_next().expect("queued");
+    assert_eq!(record.status, JobStatus::Failed, "{}", record.line);
+    for key in ["uniform_length", "optimized_length"] {
+        assert_eq!(record.result.get(key), Some(&Json::Null), "{}", record.line);
+    }
+    // The sentinel as the JSON writer prints it.
+    assert!(
+        !record.line.contains("18446744073709552000"),
+        "{}",
+        record.line
+    );
 }
